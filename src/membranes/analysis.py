@@ -388,6 +388,33 @@ def _lsq_branch(cone, theta, rel, uvals, resid=None):
     return BranchVector(cone, basis @ c)
 
 
+def _angle_search(misfit_at, n_coarse, angle_tol):
+    """Minimize ``misfit_at(theta) -> (misfit, payload)`` over the angle: a
+    coarse scan of n_coarse angles, then golden-section refinement around
+    the best one.  Returns the winning (theta, payload)."""
+    best = (np.inf, 0.0, None)
+    for theta in 2.0 * np.pi * np.arange(n_coarse) / n_coarse:
+        e, payload = misfit_at(theta)
+        if e < best[0]:
+            best = (e, theta, payload)
+    step = 2.0 * np.pi / n_coarse
+    lo, hi = best[1] - step, best[1] + step
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
+    f1, p1 = misfit_at(x1)
+    f2, p2 = misfit_at(x2)
+    while hi - lo > angle_tol:
+        if f1 <= f2:
+            hi, x2, f2, p2 = x2, x1, f1, p1
+            x1 = hi - gr * (hi - lo)
+            f1, p1 = misfit_at(x1)
+        else:
+            lo, x1, f1, p1 = x1, x2, f2, p2
+            x2 = lo + gr * (hi - lo)
+            f2, p2 = misfit_at(x2)
+    return min([(f1, x1, p1), (f2, x2, p2), best], key=lambda t: t[0])[1:]
+
+
 def _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol):
     # The angle search minimizes the RMS misfit, which is robust to
     # perturbations; the reported epsilon is the sup misfit of the result.
@@ -396,28 +423,7 @@ def _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol):
         prof = ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta)
         return float(np.sqrt(np.mean((uvals - prof.eval(rel)) ** 2))), b
 
-    best = (np.inf, 0.0, None)
-    for theta in 2.0 * np.pi * np.arange(n_coarse) / n_coarse:
-        e, b = rms_at(theta)
-        if e < best[0]:
-            best = (e, theta, b)
-    step = 2.0 * np.pi / n_coarse
-    lo, hi = best[1] - step, best[1] + step
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
-    f1, b1 = rms_at(x1)
-    f2, b2 = rms_at(x2)
-    while hi - lo > angle_tol:
-        if f1 <= f2:
-            hi, x2, f2, b2 = x2, x1, f1, b1
-            x1 = hi - gr * (hi - lo)
-            f1, b1 = rms_at(x1)
-        else:
-            lo, x1, f1, b1 = x1, x2, f2, b2
-            x2 = lo + gr * (hi - lo)
-            f2, b2 = rms_at(x2)
-    cand = [(f1, x1, b1), (f2, x2, b2), best]
-    _, theta, b = min(cand, key=lambda t: t[0])
+    theta, b = _angle_search(rms_at, n_coarse, angle_tol)
     e = _profile_eps(cone, b, theta, rel, uvals, radius)
     # Sup-norm polish: correct b against the exact profile a few times.
     for _ in range(3):
@@ -437,29 +443,9 @@ def _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol):
 
 def _fit_degenerate(cone, rel, uvals, radius, n_coarse, angle_tol):
     def rms_at(theta):
-        return float(np.sqrt(np.mean((uvals - cone.eval_2d(rel, theta)) ** 2)))
+        return float(np.sqrt(np.mean((uvals - cone.eval_2d(rel, theta)) ** 2))), None
 
-    best = (np.inf, 0.0)
-    for theta in 2.0 * np.pi * np.arange(n_coarse) / n_coarse:
-        e = rms_at(theta)
-        if e < best[0]:
-            best = (e, theta)
-    step = 2.0 * np.pi / n_coarse
-    lo, hi = best[1] - step, best[1] + step
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
-    f1, f2 = rms_at(x1), rms_at(x2)
-    while hi - lo > angle_tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - gr * (hi - lo)
-            f1 = rms_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + gr * (hi - lo)
-            f2 = rms_at(x2)
-    cand = [(f1, x1), (f2, x2), best]
-    _, theta = min(cand, key=lambda t: t[0])
+    theta, _ = _angle_search(rms_at, n_coarse, angle_tol)
     e = float(np.abs(uvals - cone.eval_2d(rel, theta)).max()) / radius**2
     return FitResult(cone.id, float(np.mod(theta, 2 * np.pi)), None, e, radius, np.inf, degenerate=True)
 

@@ -11,12 +11,12 @@ import hashlib
 import json
 import sys
 import time
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, cones1d, exact1d, gamesim, solver2d, verify as verify_mod
+from . import __version__, analysis, cones1d, exact1d, gamesim, solver2d, verify as verify_mod
 from .errors import MembraneError, ScenarioError
 from .problem import ProblemSpec, normalize
 
@@ -30,85 +30,76 @@ def _schema():
 
 def validate_scenario(obj):
     """Schema validation; returns a list of 'json-pointer: message' strings."""
+    schema = _schema()
+    errors = _schema_errors(obj, schema, "")
+    if not errors:  # the pipeline is valid, so its required keys are known
+        required = schema["pipeline_requirements"][obj["pipeline"]]
+        errors = _schema_errors(obj, {"required": required}, "")
+    return errors or _semantic_errors(obj)
+
+
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and np.isfinite(x)),
+}
+
+
+def _schema_errors(value, schema, path):
+    """Check ``value`` against the JSON Schema keywords scenario_schema.json
+    uses: type, enum, minimum, exclusiveMinimum, required, properties, items."""
+    where = path or "/"
+    kind = schema.get("type")
+    if kind is not None and not _JSON_TYPES[kind](value):
+        return [f"{where}: expected {'an' if kind[0] in 'aeiou' else 'a'} {kind}"]
+    if "enum" in schema and value not in schema["enum"]:
+        return [f"{where}: expected one of {schema['enum']}, got {value!r}"]
+    if "minimum" in schema and value < schema["minimum"]:
+        return [f"{where}: expected a value >= {schema['minimum']}"]
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        return [f"{where}: expected a value > {schema['exclusiveMinimum']}"]
+    errors = [f"{path}/{key}: required" for key in schema.get("required", ()) if key not in value]
+    for key, sub in schema.get("properties", {}).items():
+        if key in value:
+            errors += _schema_errors(value[key], sub, f"{path}/{key}")
+    if "items" in schema:
+        for i, item in enumerate(value):
+            errors += _schema_errors(item, schema["items"], f"{path}/{i}")
+    return errors
+
+
+_DOMAIN_KEYS = {
+    "interval": ("lo", "hi"),
+    "rectangle": ("x0", "x1", "y0", "y1"),
+    "disk": ("center", "radius"),
+}
+
+
+def _semantic_errors(obj):
+    """The rules for a schema-valid scenario that the schema cannot state."""
     errors = []
-    if not isinstance(obj, dict):
-        return ["/: scenario must be a JSON object"]
-    pipeline = obj.get("pipeline")
-    if pipeline not in PIPELINES:
-        errors.append(f"/pipeline: expected one of {list(PIPELINES)}, got {pipeline!r}")
-        return errors
-    required = _schema()["pipeline_requirements"][pipeline]
-    for key in required:
-        if key not in obj:
-            errors.append(f"/{key}: required for pipeline {pipeline!r}")
-    if errors:
-        return errors
     if "problem" in obj:
-        errors.extend(_check_problem(obj["problem"]))
-    if "domain" in obj:
-        errors.extend(_check_domain(obj["domain"]))
-    if "boundary" in obj:
-        b = obj["boundary"]
-        if not isinstance(b, dict) or b.get("kind") not in ("cone", "profile"):
-            errors.append("/boundary/kind: expected 'cone' or 'profile'")
-        elif "pattern" not in b:
-            errors.append("/boundary/pattern: required")
-    if "h" in obj and not (isinstance(obj["h"], (int, float)) and obj["h"] > 0):
-        errors.append("/h: expected a positive number")
-    if "radii" in obj:
-        rs = obj["radii"]
-        if not isinstance(rs, list) or not rs or any(
-            not isinstance(r, (int, float)) or r <= 0 for r in rs
-        ):
-            errors.append("/radii: expected a nonempty array of positive numbers")
-    if "series" in obj:
-        s = obj["series"]
-        if not isinstance(s, list) or any(
-            not isinstance(p, list) or len(p) != 2 for p in s
-        ):
-            errors.append("/series: expected an array of [r, epsilon] pairs")
-    if "n_walks" in obj and not (isinstance(obj["n_walks"], int) and obj["n_walks"] >= 1):
-        errors.append("/n_walks: expected a positive integer")
-    return errors
-
-
-def _check_problem(p):
-    errors = []
-    if not isinstance(p, dict):
-        return ["/problem: expected an object"]
-    n = p.get("n")
-    if not isinstance(n, int) or n < 1:
-        errors.append("/problem/n: expected a positive integer")
-        return errors
-    for key in ("weights", "forces"):
-        v = p.get(key)
-        if not isinstance(v, list) or len(v) != n:
-            errors.append(f"/problem/{key}: expected an array of {n} numbers")
-            continue
-        for i, x in enumerate(v):
-            if not isinstance(x, (int, float)):
-                errors.append(f"/problem/{key}/{i}: expected a number")
-    if not errors:
-        if any(x <= 0 for x in p["weights"]):
-            errors.append("/problem/weights: entries must be strictly positive")
+        p = obj["problem"]
+        for key in ("weights", "forces"):
+            if len(p[key]) != p["n"]:
+                errors.append(f"/problem/{key}: expected an array of {p['n']} numbers")
         f = p["forces"]
-        if any(f[i] <= f[i + 1] for i in range(n - 1)):
+        if not errors and any(f[i] <= f[i + 1] for i in range(len(f) - 1)):
             errors.append("/problem/forces: entries must be strictly decreasing")
+    if "domain" in obj:
+        kind = obj["domain"]["kind"]
+        for key in _DOMAIN_KEYS[kind]:
+            if key not in obj["domain"]:
+                errors.append(f"/domain/{key}: required for kind {kind!r}")
+    if obj.get("radii") == []:
+        errors.append("/radii: expected a nonempty array")
+    for i, pair in enumerate(obj.get("series", [])):
+        if len(pair) != 2:
+            errors.append(f"/series/{i}: expected an [r, epsilon] pair")
     return errors
-
-
-def _check_domain(d):
-    if not isinstance(d, dict):
-        return ["/domain: expected an object"]
-    kind = d.get("kind")
-    needs = {
-        "interval": ("lo", "hi"),
-        "rectangle": ("x0", "x1", "y0", "y1"),
-        "disk": ("center", "radius"),
-    }
-    if kind not in needs:
-        return [f"/domain/kind: expected one of {list(needs)}, got {kind!r}"]
-    return [f"/domain/{key}: required for kind {kind!r}" for key in needs[kind] if key not in d]
 
 
 def _build_grid(domain, h):
@@ -144,16 +135,22 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def run(scenario_path, out_dir, seed=None, threads=1, tol=None):
-    """Execute the scenario's pipeline and write artifacts plus manifest."""
+def run(scenario_path, out_dir, seed=None, tol=None, command=None):
+    """Execute the scenario's pipeline and write artifacts plus manifest.
+
+    ``command`` is the CLI subcommand, when there is one; the scenario's
+    pipeline must match it.
+    """
     t_start = time.perf_counter()
-    raw = Path(scenario_path).read_bytes()
     try:
+        raw = Path(scenario_path).read_bytes()
         scenario = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"scenario is not valid JSON: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"scenario is not readable JSON: {exc}", file=sys.stderr)
         return 2
     errors = validate_scenario(scenario)
+    if not errors and command not in (None, scenario["pipeline"]):
+        errors = [f"/pipeline: {scenario['pipeline']!r} does not match subcommand {command!r}"]
     if errors:
         for e in errors:
             print(f"scenario error at {e}", file=sys.stderr)
@@ -289,9 +286,8 @@ def run(scenario_path, out_dir, seed=None, threads=1, tol=None):
         "pipeline": pipeline,
         "scenario_sha256": hashlib.sha256(raw).hexdigest(),
         "seed": seed,
-        "threads": threads,
         "versions": {
-            "membranes": _version(),
+            "membranes": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
@@ -302,13 +298,6 @@ def run(scenario_path, out_dir, seed=None, threads=1, tol=None):
     }
     _write_json(out / "manifest.json", manifest)
     return exit_code
-
-
-def _version():
-    try:
-        return metadata.version("membranes")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _write_json(path, obj):
@@ -351,7 +340,6 @@ def main(argv=None):
         p.add_argument("--scenario", required=True, help="path to the scenario JSON")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1, help="worker cap; results are thread-count independent")
         p.add_argument("--tol", type=float, default=None)
     pv = sub.add_parser("verify", help="run a module's acceptance checks")
     pv.add_argument("suite", choices=verify_mod.SUITES)
@@ -360,14 +348,7 @@ def main(argv=None):
 
     if args.command == "verify":
         return verify(args.suite, args.out)
-    scenario = json.loads(Path(args.scenario).read_text()) if Path(args.scenario).exists() else None
-    if scenario is not None and scenario.get("pipeline", args.command) != args.command:
-        print(
-            f"scenario pipeline {scenario.get('pipeline')!r} does not match subcommand {args.command!r}",
-            file=sys.stderr,
-        )
-        return 2
-    return run(args.scenario, args.out, seed=args.seed, threads=args.threads, tol=args.tol)
+    return run(args.scenario, args.out, seed=args.seed, tol=args.tol, command=args.command)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,6 @@ from .errors import (
     ZeroVector,
 )
 from .problem import subtract_average
-
-_seeds = threading.local()
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +156,6 @@ class ErrorVector:
 
     def norm(self):
         return float(np.linalg.norm(self.values))
-
-
-def branch_vector(cone, values):
-    b = BranchVector(cone, np.asarray(values, dtype=float))
-    if not b.is_member(tol=1e-8):
-        raise ValueError("values do not satisfy the branch constraints")
-    return b
 
 
 def zero_branch_vector(cone):
@@ -452,9 +442,9 @@ def b_to_gamma(cone, b, order_seed=None):
     """Invert the breakpoint map: gamma with solution_to_b(gamma_to_solution)
     equal to b.
 
-    Fixed-point region iteration seeded from the last solved order for this
-    cone, exhaustive permutation fallback for N <= 6, segment continuation
-    from a solved anchor above that.
+    Fixed-point region iteration seeded from ``order_seed`` (the identity
+    order by default), exhaustive permutation fallback for N <= 6, segment
+    continuation from a solved anchor above that.
     """
     if not cone.connected:
         raise NotConnected(f"cone {cone.pattern!r} is not connected")
@@ -464,11 +454,8 @@ def b_to_gamma(cone, b, order_seed=None):
         return np.empty(0)
     tol = 1e-10 * max(1.0, float(np.abs(bvec).max()))
 
-    seeds = getattr(_seeds, "orders", None)
-    if seeds is None:
-        seeds = _seeds.orders = {}
     if order_seed is None:
-        order_seed = seeds.get(cone.pattern, tuple(range(d)))
+        order_seed = range(d)
 
     gamma = _iterate_regions(cone, tuple(order_seed), bvec, tol)
     if gamma is None and d <= 5:
@@ -487,7 +474,6 @@ def b_to_gamma(cone, b, order_seed=None):
             f"region iteration failed for cone {cone.pattern!r}; the map is "
             "globally invertible, so this indicates a bug"
         )
-    seeds[cone.pattern] = tuple(int(i) for i in np.argsort(gamma, kind="stable"))
     return gamma
 
 
@@ -608,10 +594,6 @@ class ApproximateProfile2D:
                     last_t = t
                 out[idx] = sol.eval(y2[idx])
         return out[0] if single else out
-
-
-def profile2d_eval(profile: ApproximateProfile2D, x):
-    return profile.eval(x)
 
 
 def _harmonic_quadratic(points, qpp, alpha, beta):

@@ -1,13 +1,19 @@
 """Weighted projection onto the ordered cone u_1 >= u_2 >= ... >= u_N.
 
-Pool-adjacent-violators on the chain order.  This is the inner loop of every
-grid sweep and of the game exchange step, so there is a scalar version for
-single vectors and a vectorized version that projects many rows at once.
+One vectorized kernel evaluates the min-max formula for antitonic regression
+(Robertson, Wright & Dykstra 1988, *Order Restricted Statistical Inference*),
+
+    u_i = min_{a <= i} max_{b >= i} Av(a..b),
+
+with Av(a..b) the weighted mean of v_a, ..., v_b, over many rows at once.
+This is the inner loop of every grid sweep and of the game exchange step.
 The brute-force block-partition oracle is kept alongside as the test
 reference.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -20,89 +26,46 @@ def isotonic_project(values, weights):
     Returns the minimizer of sum w_i (u_i - v_i)^2 subject to the chain
     constraint; pooled blocks carry their weighted average.
     """
-    v = [float(x) for x in values]
-    w = [float(x) for x in weights]
-    if any(x <= 0.0 for x in w):
-        raise InvalidWeight(f"weights must be strictly positive, got {w}")
-    if len(v) != len(w):
-        raise InvalidWeight("values and weights must have equal length")
-    # Block stack: (pooled value, pooled weight, length).
-    vals, wts, lens = [], [], []
-    for x, wx in zip(v, w):
-        vals.append(x)
-        wts.append(wx)
-        lens.append(1)
-        # Non-increasing target: merge while the new block exceeds the previous.
-        while len(vals) >= 2 and vals[-2] < vals[-1]:
-            wv = wts[-2] + wts[-1]
-            vals[-2] = (wts[-2] * vals[-2] + wts[-1] * vals[-1]) / wv
-            wts[-2] = wv
-            lens[-2] += lens[-1]
-            del vals[-1], wts[-1], lens[-1]
-    out = []
-    for val, length in zip(vals, lens):
-        out.extend([val] * length)
-    return np.asarray(out)
+    return isotonic_project_batch(values, weights)
 
 
 def isotonic_project_batch(values, weights):
-    """Row-wise weighted isotonic projection of an (M, N) array.
+    """Row-wise weighted isotonic projection of an (M, N) array (or one vector).
 
-    Same result as ``isotonic_project`` applied per row; the stack algorithm
-    runs in lockstep across rows with masked merges.
+    Each mean Av(a..b) is summed left to right from a, so Av(a..a) is v_a
+    itself.  The result is min/max over one fixed set of floats, hence
+    exactly non-increasing, and rows that are already ordered come back
+    bit-identical.
     """
-    v = np.ascontiguousarray(values, dtype=float)
-    if v.ndim == 1:
-        return isotonic_project(v, weights)
+    v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0.0):
-        raise InvalidWeight("weights must be strictly positive")
-    m, n = v.shape
-    if n != w.shape[0]:
+        raise InvalidWeight(f"weights must be strictly positive, got {w}")
+    n = w.shape[0]
+    if v.shape[-1] != n:
         raise InvalidWeight("values and weights must have equal length")
-    if n == 1:
-        return v.copy()
-    if n == 2:
-        # Single possible pooling; worth special-casing for the solver loop.
-        out = v.copy()
-        bad = v[:, 0] < v[:, 1]
-        pooled = (w[0] * v[bad, 0] + w[1] * v[bad, 1]) / (w[0] + w[1])
-        out[bad, 0] = pooled
-        out[bad, 1] = pooled
-        return out
-
-    sv = np.empty((n + 1, m))  # stacked block values (+1 row for the sentinel)
-    sw = np.empty((n + 1, m))  # stacked block weights
-    sl = np.zeros((n + 1, m), dtype=np.intp)  # stacked block lengths
-    sp = np.zeros(m, dtype=np.intp)  # per-row stack size
-    rows = np.arange(m)
-    for i in range(n):
-        sv[sp, rows] = v[:, i]
-        sw[sp, rows] = w[i]
-        sl[sp, rows] = 1
-        sp += 1
-        for _ in range(i):
-            can = sp >= 2
-            top = sv[sp - 1, rows]
-            sec = sv[sp - 2, rows]
-            viol = can & (sec < top)
-            if not viol.any():
-                break
-            r = rows[viol]
-            s = sp[viol]
-            wv = sw[s - 2, r] + sw[s - 1, r]
-            sv[s - 2, r] = (sw[s - 2, r] * sv[s - 2, r] + sw[s - 1, r] * sv[s - 1, r]) / wv
-            sw[s - 2, r] = wv
-            sl[s - 2, r] += sl[s - 1, r]
-            sp[viol] -= 1
-    # Expand block values back to positions.
-    sl[sp, rows] = n + 1  # sentinel keeps cumulative lengths beyond the stack large
-    cum = np.cumsum(sl, axis=0)[:n]
-    out = np.empty_like(v)
-    for i in range(n):
-        block = (cum <= i).sum(axis=0)
-        out[:, i] = sv[block, rows]
-    return out
+    c = np.ascontiguousarray(np.atleast_2d(v).T)  # c[i] holds v_i of every row
+    wc = c * w[:, None]
+    u = np.empty_like(c)
+    for a in range(n):
+        s, tw, means = wc[a], w[a], [c[a]]
+        for b in range(a + 1, n):
+            s = s + wc[b]
+            tw = tw + w[b]
+            means.append(s / tw)
+        # Running max of Av(a..b) from b = N-1 down gives max_{b>=i} for each i >= a.
+        tops = itertools.accumulate(reversed(means), np.maximum)
+        for i, top in zip(range(n - 1, a - 1, -1), tops):
+            u[i] = top if a == 0 else np.minimum(u[i], top)
+    # u_i lies between min(v_1..v_i) and max(v_i..v_N).  Clamping to these
+    # removes rounding in means over tied values, so ordered rows are fixed.
+    lo, hi = c[0], c[-1]
+    for i in range(1, n):
+        lo = np.minimum(lo, c[i])
+        u[i] = np.maximum(u[i], lo)
+        hi = np.maximum(hi, c[-1 - i])
+        u[-1 - i] = np.minimum(u[-1 - i], hi)
+    return u.T.reshape(v.shape)
 
 
 def qp_oracle_project(values, weights):
@@ -111,9 +74,9 @@ def qp_oracle_project(values, weights):
     Enumerates all compositions of N into contiguous blocks, pools each block
     to its weighted mean, and returns the feasible minimizer.  A float pass
     screens the compositions; near-ties (objective gaps below float
-    resolution of the total) are resolved in exact rational arithmetic, so
-    the reference is exact even for adversarial inputs.  Exponential in N,
-    hence the size guard.
+    resolution of the total) and order violations below the screen's slack
+    are resolved in exact rational arithmetic, so the reference is exact
+    even for adversarial inputs.  Exponential in N, hence the size guard.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -132,7 +95,7 @@ def qp_oracle_project(values, weights):
         prev = np.inf
         for a, b in zip(cuts[:-1], cuts[1:]):
             mean = float(w[a:b] @ v[a:b] / w[a:b].sum())
-            # Loose screen: the exact optimum is never within 1e-9 of violating.
+            # Loose screen, so that rounding in the means cannot drop the optimum.
             if mean > prev + 1e-9 * scale:
                 feasible = False
                 break
@@ -142,9 +105,14 @@ def qp_oracle_project(values, weights):
             candidates.append((float(w @ (u - v) ** 2), cuts, u))
     best_obj = min(c[0] for c in candidates)
     near = [c for c in candidates if c[0] <= best_obj * (1.0 + 1e-10) + 1e-30]
-    if len(near) == 1:
+    if len(near) == 1 and np.all(near[0][2][:-1] >= near[0][2][1:]):
         return near[0][2]
-    return _resolve_exact(near, v, w)
+    # The screen also passes compositions that violate the order by less
+    # than its slack, e.g. v = (0, 1e-9), and one of them can beat the
+    # optimum in float.  Resolve exactly, over every screened composition if
+    # no near-tie is exactly feasible.
+    best = _resolve_exact(near, v, w)
+    return _resolve_exact(candidates, v, w) if best is None else best
 
 
 def _resolve_exact(candidates, v, w):

@@ -497,24 +497,6 @@ def check_max_principle(sol_a, sol_b, tol=1e-8) -> MaxPrincipleVerdict:
     return MaxPrincipleVerdict(ok=bool(worst >= -tol), worst_violation=worst, boundary_gap=bgap)
 
 
-def free_boundary_nodes(sol: GridSolution2D, k, coincidence_tol=None):
-    """Interior contact nodes of pair k adjacent to non-contact nodes."""
-    if coincidence_tol is None:
-        coincidence_tol = default_coincidence_tol(sol)
-    if not 1 <= k <= sol.n - 1:
-        raise ValueError(f"pair index {k} out of range")
-    grid = sol.grid
-    interior, _, nbr, _ = grid.indexing()
-    d = sol.u[:, k - 1] - sol.u[:, k]
-    di = d[interior]
-    contact = di < coincidence_tol
-    nbr_sep = np.zeros(len(interior), dtype=bool)
-    dn = d[nbr]
-    nbr_sep = np.nanmax(dn, axis=1) >= coincidence_tol
-    mask = contact & nbr_sep
-    return interior[mask]
-
-
 def free_boundary_points(sol, k, coincidence_tol=None):
     """Subgrid free boundary locations for pair k.
 

@@ -91,7 +91,7 @@ def _suite_projection():
             worst = max(
                 worst, float(np.abs(isotonic_project(v, w) - qp_oracle_project(v, w)).max())
             )
-    return [("PAVA equals exhaustive oracle", worst <= 1e-10, f"max dev {worst:.1e}")]
+    return [("projection equals exhaustive oracle", worst <= 1e-10, f"max dev {worst:.1e}")]
 
 
 def _suite_solver():

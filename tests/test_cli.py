@@ -1,8 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+import membranes
 from membranes import cli
 
 
@@ -14,6 +16,22 @@ def write_scenario(tmp_path, name, obj):
 
 PROBLEM2 = {"n": 2, "weights": [1, 1], "forces": [1, -1]}
 PROBLEM3 = {"n": 3, "weights": [1, 1, 1], "forces": [1, 0, -1]}
+SOLVE = {
+    "pipeline": "solve",
+    "problem": PROBLEM2,
+    "domain": {"kind": "disk", "center": [0, 0], "radius": 0.5},
+    "h": 1 / 8,
+    "boundary": {"kind": "cone", "pattern": "L"},
+}
+GAME = {
+    "pipeline": "game",
+    "problem": PROBLEM2,
+    "domain": {"kind": "rectangle", "x0": 0, "x1": 1, "y0": 0, "y1": 1},
+    "h": 1 / 8,
+    "boundary": {"kind": "cone", "pattern": "L", "shift": [0.5, 0.5]},
+    "probes": [[4, 4]],
+    "n_walks": 100,
+}
 
 
 class TestValidation:
@@ -41,6 +59,33 @@ class TestValidation:
         assert any("/problem/forces" in e for e in errs)
 
 
+    @pytest.mark.parametrize(
+        "base, path, value",
+        [
+            (SOLVE, ("tol",), "abc"),
+            (SOLVE, ("tol",), -1),
+            (SOLVE, ("max_sweeps",), "5"),
+            (SOLVE, ("domain", "radius"), -0.5),
+            (SOLVE, ("problem", "n"), True),
+            (SOLVE, ("boundary", "pattern"), 3),
+            (GAME, ("tickets",), [0]),
+            (GAME, ("seed",), "x"),
+        ],
+        ids=["tol-string", "tol-negative", "max-sweeps-string", "radius-negative",
+             "n-boolean", "pattern-number", "ticket-zero", "seed-string"],
+    )
+    def test_schema_rules_exit_2_without_outputs(self, tmp_path, capsys, base, path, value):
+        scenario = copy.deepcopy(base)
+        node = scenario
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        out = tmp_path / "out"
+        assert cli.run(write_scenario(tmp_path, "s.json", scenario), out) == 2
+        assert not out.exists()
+        assert "/" + "/".join(path) in capsys.readouterr().err
+
+
 class TestRun:
     def test_cones_pipeline(self, tmp_path):
         scen = write_scenario(tmp_path, "c.json", {"pipeline": "cones", "problem": PROBLEM3})
@@ -58,6 +103,13 @@ class TestRun:
         out = tmp_path / "out_bad"
         assert cli.run(scen, out) == 2
         assert not out.exists()
+
+    def test_manifest_version(self, tmp_path):
+        scen = write_scenario(tmp_path, "c.json", {"pipeline": "cones", "problem": PROBLEM2})
+        assert cli.run(scen, tmp_path / "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["versions"]["membranes"] == membranes.__version__
+        assert "threads" not in manifest
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "nojson.json"
@@ -206,3 +258,15 @@ class TestMain:
     def test_cones_main(self, tmp_path):
         scen = write_scenario(tmp_path, "c.json", {"pipeline": "cones", "problem": PROBLEM2})
         assert cli.main(["cones", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[1, 2]", json.dumps({"pipeline": "cones", "problem": PROBLEM2})],
+        ids=["invalid-json", "top-level-array", "pipeline-mismatch"],
+    )
+    def test_main_rejects_without_outputs(self, tmp_path, text):
+        scen = tmp_path / "s.json"
+        scen.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert not out.exists()

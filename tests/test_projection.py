@@ -41,6 +41,13 @@ class TestExamples:
         v = [0.0, 1.0, 2.0, 3.0]
         assert np.allclose(qp_oracle_project(v, [1, 1, 1, 1]), [1.5] * 4)
 
+    @pytest.mark.parametrize("v", [[0.0, 1e-9], [0.0, 0.0, 1e-13]])
+    def test_oracle_pools_violations_below_its_screen(self, v):
+        # Both inputs violate the order by less than the float screen's slack.
+        got = qp_oracle_project(v, [1.0] * len(v))
+        assert np.array_equal(got, isotonic_project(v, [1.0] * len(v)))
+        assert np.allclose(got, sum(v) / len(v), rtol=1e-15, atol=0.0)
+
 
 class TestAgainstOracle:
     @given(vectors())
@@ -99,6 +106,19 @@ class TestProperties:
             batch = isotonic_project_batch(vs, w)
             for i in range(0, 200, 17):
                 assert np.abs(batch[i] - isotonic_project(vs[i], w)).max() <= 1e-12
+
+
+    def test_batch_exactly_ordered_and_fixed_on_ordered_rows(self, rng):
+        for n in range(1, 9):
+            w = rng.uniform(0.2, 3.0, n)
+            vs = rng.standard_normal((300, n)) * 2
+            # Every other row is already ordered; rounding makes ties common.
+            vs[::2] = -np.sort(-np.round(vs[::2], 1), axis=1)
+            got = isotonic_project_batch(vs, w)
+            assert np.all(got[:, :-1] >= got[:, 1:])
+            assert np.array_equal(got[::2], vs[::2])
+            for i in range(0, 300, 5):
+                assert np.abs(got[i] - qp_oracle_project(vs[i], w)).max() <= 1e-10
 
 
 class TestErrors:
