@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Cross-validate the grid solver against the ticket-exchange game on a
-lattice: Bellman fixed point vs projected Gauss-Seidel, plus Monte Carlo
+lattice: Bellman fixed point vs projected SOR, plus Monte Carlo
 policy evaluation at a few probe nodes."""
 
 import argparse

@@ -6,7 +6,7 @@ problem     problem specification, normalization, weighted-average identities
 cones1d     the catalogue of homogeneous degree-2 solutions (1D cones)
 exact1d     global 1D solutions h(x, b), the error function, 2D profiles
 projection  weighted isotonic projection onto the ordered cone (min-max formula)
-solver2d    projected Gauss-Seidel grid solver on intervals/rectangles/disks
+solver2d    projected SOR grid solver on intervals/rectangles/disks
 analysis    free boundaries, Weiss energy, blow-up rescaling, cone fitting
 gamesim     ticket-exchange random walk game, the independent oracle
 cli         scenario runner and verification suites

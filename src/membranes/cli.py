@@ -90,10 +90,19 @@ def _semantic_errors(obj):
         if not errors and any(f[i] <= f[i + 1] for i in range(len(f) - 1)):
             errors.append("/problem/forces: entries must be strictly decreasing")
     if "domain" in obj:
-        kind = obj["domain"]["kind"]
-        for key in _DOMAIN_KEYS[kind]:
-            if key not in obj["domain"]:
-                errors.append(f"/domain/{key}: required for kind {kind!r}")
+        domain = obj["domain"]
+        kind = domain["kind"]
+        missing = [key for key in _DOMAIN_KEYS[kind] if key not in domain]
+        errors += [f"/domain/{key}: required for kind {kind!r}" for key in missing]
+        if kind == "disk" and "center" not in missing and len(domain["center"]) != 2:
+            errors.append("/domain/center: expected 2 numbers")
+        elif kind != "disk" and not missing:
+            keys = _DOMAIN_KEYS[kind]
+            for lo, hi in zip(keys[0::2], keys[1::2]):
+                if domain[hi] <= domain[lo]:
+                    errors.append(f"/domain/{hi}: expected a value > {lo}")
+    if obj.get("boundary", {}).get("kind") == "profile" and "b" not in obj["boundary"]:
+        errors.append("/boundary/b: required for kind 'profile'")
     if obj.get("radii") == []:
         errors.append("/radii: expected a nonempty array")
     for i, pair in enumerate(obj.get("series", [])):
@@ -112,8 +121,7 @@ def _build_grid(domain, h):
     return solver2d.Grid.disk(cx, cy, domain["radius"], h)
 
 
-def _build_boundary(spec, boundary, dimension):
-    cone = cones1d.Cone1D(spec, boundary["pattern"])
+def _build_boundary(cone, boundary, dimension):
     shift = np.asarray(boundary.get("shift", [0.0, 0.0][:dimension]), dtype=float)
     angle = float(boundary.get("angle", 0.0))
     if boundary["kind"] == "cone":
@@ -129,6 +137,61 @@ def _build_boundary(spec, boundary, dimension):
         sol = exact1d.solution_for(cone, b0)
         return lambda pts: sol.eval(pts[:, 0] - shift[0])
     return lambda pts: prof.eval(pts - shift)
+
+
+def _at(pointer, build, *args):
+    """``build(*args)``, with a ValueError or MembraneError it raises reported
+    as a ScenarioError at ``pointer``."""
+    try:
+        return build(*args)
+    except (ValueError, MembraneError) as exc:
+        raise ScenarioError(f"{pointer}: {exc}") from exc
+
+
+def _prepare(scenario):
+    """Build the spec, grid and Dirichlet values a schema-valid scenario asks
+    for, and check the values that must fit them, before any output exists.
+
+    Returns (spec, grid, gvals), None for what the pipeline does not use;
+    raises ScenarioError with JSON pointers.
+    """
+    pipeline = scenario["pipeline"]
+    if pipeline == "rate":
+        return None, None, None
+    spec = _at("/problem", lambda: normalize(ProblemSpec.from_json(scenario["problem"])))
+    if pipeline == "cones":
+        return spec, None, None
+    n = spec.n_membranes
+    boundary = scenario["boundary"]
+    cone = _at("/boundary/pattern", cones1d.Cone1D, spec, boundary["pattern"])
+    grid = _at("/h", lambda: _build_grid(scenario["domain"], scenario["h"]))
+    _at("/h", grid.indexing)
+    d = grid.dimension
+    errors = []
+    if len(boundary.get("shift", [0.0] * d)) != d:
+        errors.append(f"/boundary/shift: expected {d} numbers")
+    if pipeline in ("weiss", "blowup") and len(scenario["center"]) < d:
+        errors.append(f"/center: expected {d} numbers")
+    if pipeline == "game":
+        if any(abs(w - 1.0) > 1e-12 for w in spec.weights):
+            errors.append("/problem/weights: the game needs unit weights")
+        for i, ticket in enumerate(scenario.get("tickets", [1])):
+            if ticket > n:
+                errors.append(f"/tickets/{i}: ticket {ticket} is not in [1, {n}]")
+        for i, probe in enumerate(scenario["probes"]):
+            inside = len(probe) == d and all(0 <= p < m for p, m in zip(probe, grid.shape))
+            if not inside or grid.role[tuple(probe)] != solver2d.INTERIOR:
+                errors.append(f"/probes/{i}: {probe} is not an interior node of the lattice")
+    if errors:
+        raise ScenarioError(errors)
+    data = _at("/boundary", _build_boundary, cone, boundary, d)
+    gvals = _at("/boundary", solver2d.dirichlet_values, grid, data, n)
+    return spec, grid, gvals
+
+
+def _report(messages):
+    for e in messages:
+        print(f"scenario error at {e}", file=sys.stderr)
 
 
 def _fmt(x):
@@ -151,9 +214,16 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
     errors = validate_scenario(scenario)
     if not errors and command not in (None, scenario["pipeline"]):
         errors = [f"/pipeline: {scenario['pipeline']!r} does not match subcommand {command!r}"]
+    if tol is not None and not 0.0 <= tol < np.inf:
+        print(f"--tol: expected a finite number >= 0, got {tol}", file=sys.stderr)
+        return 2
     if errors:
-        for e in errors:
-            print(f"scenario error at {e}", file=sys.stderr)
+        _report(errors)
+        return 2
+    try:
+        spec, grid, gvals = _prepare(scenario)
+    except ScenarioError as exc:
+        _report(exc.messages)
         return 2
 
     out = Path(out_dir)
@@ -168,20 +238,16 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
 
     try:
         if pipeline == "cones":
-            spec = normalize(ProblemSpec.from_json(scenario["problem"]))
             entries = cones1d.catalogue_json(spec)
             _write_json(out / "cones.json", entries)
             print(json.dumps(entries, indent=2, sort_keys=True))
             outputs.append("cones.json")
         elif pipeline in ("solve", "weiss", "blowup"):
-            spec = normalize(ProblemSpec.from_json(scenario["problem"]))
-            grid = _build_grid(scenario["domain"], scenario["h"])
-            data = _build_boundary(spec, scenario["boundary"], grid.dimension)
             t0 = time.perf_counter()
             sol = solver2d.solve(
                 spec,
                 grid,
-                data,
+                gvals,
                 tol=tol if tol is not None else scenario.get("tol"),
                 max_sweeps=scenario.get("max_sweeps"),
             )
@@ -231,10 +297,7 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
                     _write_json(out / "rate.json", {"skipped": str(exc)})
                     outputs.append("rate.json")
         elif pipeline == "game":
-            spec = normalize(ProblemSpec.from_json(scenario["problem"]))
-            grid = _build_grid(scenario["domain"], scenario["h"])
-            data = _build_boundary(spec, scenario["boundary"], grid.dimension)
-            game = gamesim.membrane_game(spec, grid, data)
+            game = gamesim.membrane_game(spec, grid, gvals)
             _write_json(out / "game_spec.json", game.to_json_obj())
             outputs.append("game_spec.json")
             t0 = time.perf_counter()
@@ -274,10 +337,6 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
             _write_json(out / "rate.json", json.loads(rf.to_json()))
             rf.to_csv(out / "rate.csv")
             outputs += ["rate.json", "rate.csv"]
-    except ScenarioError as exc:
-        for e in exc.messages:
-            print(f"scenario error at {e}", file=sys.stderr)
-        return 2
     except MembraneError as exc:
         print(f"pipeline failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -45,6 +45,15 @@ class UnorderedBoundary(MembraneError):
     """Dirichlet data violates the ordering constraint on the boundary."""
 
 
+class NonFiniteData(MembraneError):
+    """Weights, forces, Dirichlet data, payoffs or an initial guess contain
+    NaN or infinite values."""
+
+
+class EmptyGrid(MembraneError):
+    """The grid has no interior nodes to solve for."""
+
+
 class NotConverged(MembraneError):
     """Iteration hit its sweep budget before reaching the tolerance."""
 

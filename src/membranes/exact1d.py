@@ -218,17 +218,6 @@ class PiecewiseQuadratic1D:
         vals = (c[..., 0] * x * x + c[..., 1] * x + c[..., 2])
         return np.moveaxis(vals, 0, -1)
 
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        j = self._locate(x)
-        c = self.coeffs[:, j, :]
-        return np.moveaxis(2.0 * c[..., 0] * x + c[..., 1], 0, -1)
-
-    def second_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        j = self._locate(x)
-        return np.moveaxis(2.0 * self.coeffs[:, j, 0], 0, -1)
-
     def validate(self, tol=1e-10):
         """C^1 matching at breakpoints, ordering, zero weighted average."""
         issues = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotConverged, UnorderedBoundary
+from .errors import NonFiniteData, NotConverged, UnorderedBoundary
 from .projection import isotonic_project_batch
 from .solver2d import BOUNDARY, Grid
 
@@ -61,6 +61,8 @@ class GameSpec:
         _, boundary, _, _ = self.lattice.indexing()
         if phi.shape != (len(boundary), n):
             raise ValueError(f"payoffs shape {phi.shape} != {(len(boundary), n)}")
+        if not (np.isfinite(phi).all() and np.isfinite(self.costs).all()):
+            raise NonFiniteData("payoffs and costs must be finite")
         scale = max(1.0, float(np.abs(phi).max()))
         if n > 1 and (phi[:, :-1] - phi[:, 1:]).min() < -1e-10 * scale:
             raise UnorderedBoundary("boundary payoffs must be ordered")

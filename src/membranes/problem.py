@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWeight, NondegeneracyViolation
+from .errors import InvalidWeight, NonFiniteData, NondegeneracyViolation
 
 EQ_TOL = 1e-12
 
@@ -37,6 +37,8 @@ class ProblemSpec:
             raise NondegeneracyViolation(
                 f"expected {n} weights and forces, got {len(w)} and {len(f)}"
             )
+        if not np.isfinite(w + f).all():
+            raise NonFiniteData(f"weights and forces must be finite, got {w} and {f}")
         if any(x <= 0.0 for x in w):
             raise InvalidWeight(f"weights must be strictly positive, got {w}")
         if any(f[i] <= f[i + 1] for i in range(n - 1)):

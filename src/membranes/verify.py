@@ -113,6 +113,17 @@ def _suite_solver():
     ratio = errs[1 / 8] / errs[1 / 16]
     rows.append(("disk refinement ratio >= 3 (h=1/8 vs 1/16)", ratio >= 3.0, f"ratio {ratio:.2f}"))
 
+    gr = solver2d.Grid.rectangle(-1, 1, -1, 1, 1 / 16)
+    cone = cones1d.Cone1D(_SPEC3, "RL")
+    data = lambda p: cone.eval_2d(p - 0.13, 0.4) + (0.3 * p[:, 0] * p[:, 1])[:, None]
+    s = solver2d.solve(_SPEC3, gr, data)
+    ref = solver2d.solve(_SPEC3, gr, data, tol=0.0)
+    itr = gr.indexing()[0]
+    err = float(np.abs(s.u[itr] - ref.u[itr]).max())
+    tol = s.meta["tol"]
+    ok = s.meta["converged"] and s.meta["error_bound"] <= tol and err <= tol
+    rows.append(("default-tol solve within tol of the stagnated solve", ok, f"err/tol {err / tol:.2f}"))
+
     s = solver2d.solve(_SPEC3, solver2d.Grid.interval(-1, 1, 1 / 16),
                        lambda p: cones1d.Cone1D(_SPEC3, "RL").eval(p[:, 0] - 0.21),
                        track_energy=True, max_sweeps=400)

@@ -149,6 +149,17 @@ class TestRun:
         )
         assert cli.run(scen, tmp_path / "out_nc") == 3
 
+    def test_not_converged_header_is_strict_json(self, tmp_path):
+        scenario = dict(SOLVE, max_sweeps=2)
+        assert cli.run(write_scenario(tmp_path, "nc.json", scenario), tmp_path / "o") == 3
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "o" / "solution.json").read_text()
+        meta = json.loads(text, parse_constant=reject)["meta"]
+        assert meta["error_bound"] is None and meta["converged"] is False
+
     def test_reproducible_outputs(self, tmp_path):
         scen = write_scenario(
             tmp_path,
@@ -258,6 +269,49 @@ class TestMain:
     def test_cones_main(self, tmp_path):
         scen = write_scenario(tmp_path, "c.json", {"pipeline": "cones", "problem": PROBLEM2})
         assert cli.main(["cones", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "base, path, value, pointer",
+        [
+            (GAME, ("tickets",), [1, 5], "/tickets/1"),
+            (GAME, ("probes",), [[40, 4]], "/probes/0"),
+            (GAME, ("probes",), [[0, 4]], "/probes/0"),
+            (GAME, ("probes",), [[4]], "/probes/0"),
+            (GAME, ("problem", "weights"), [1, 2], "/problem/weights"),
+            (SOLVE, ("boundary", "pattern"), "LL", "/boundary/pattern"),
+            (SOLVE, ("boundary", "pattern"), "X", "/boundary/pattern"),
+            (GAME, ("h",), 0.3, "/h"),
+            (GAME, ("h",), 1.0, "/h"),
+            (SOLVE, ("domain", "center"), [0.0], "/domain/center"),
+            (GAME, ("domain", "x1"), -1, "/domain/x1"),
+            (GAME, ("boundary", "shift"), [0.5], "/boundary/shift"),
+            (SOLVE, ("boundary", "kind"), "profile", "/boundary/b"),
+        ],
+        ids=["ticket-above-n", "probe-off-lattice", "probe-on-boundary", "probe-short",
+             "game-weights", "pattern-length", "pattern-character", "h-not-dividing",
+             "no-interior", "disk-center-length", "empty-extent", "shift-length",
+             "profile-without-b"],
+    )
+    def test_main_preflight_exit_2_without_outputs(self, tmp_path, capsys, base, path, value, pointer):
+        scenario = copy.deepcopy(base)
+        node = scenario
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        scen = write_scenario(tmp_path, "s.json", scenario)
+        out = tmp_path / "o"
+        argv = [scenario["pipeline"], "--scenario", str(scen), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert not out.exists()
+        assert f"scenario error at {pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_main_rejects_bad_tol_without_outputs(self, tmp_path, capsys, tol):
+        scen = write_scenario(tmp_path, "s.json", SOLVE)
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--scenario", str(scen), "--out", str(out), "--tol", tol]) == 2
+        assert not out.exists()
+        assert "--tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",

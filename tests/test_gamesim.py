@@ -3,7 +3,7 @@ import pytest
 
 from membranes import gamesim, solver2d
 from membranes.cones1d import Cone1D
-from membranes.errors import NotConverged, UnorderedBoundary
+from membranes.errors import EmptyGrid, NonFiniteData, NotConverged, UnorderedBoundary
 from membranes.exact1d import random_branch_vector, solution_for
 from membranes.problem import ProblemSpec, normalize
 from membranes.solver2d import Grid
@@ -88,6 +88,20 @@ class TestBellman:
         phi = np.column_stack([np.zeros(nb), np.ones(nb)])
         with pytest.raises(UnorderedBoundary):
             gamesim.GameSpec(grid, (0.1, -0.1), phi)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payoffs_rejected(self, value):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        nb = len(grid.indexing()[1])
+        phi = np.column_stack([np.ones(nb), np.zeros(nb)])
+        phi[5, 0] = value
+        with pytest.raises(NonFiniteData):
+            gamesim.GameSpec(grid, (0.1, -0.1), phi)
+
+    def test_lattice_without_interior_rejected(self):
+        grid = Grid.rectangle(0, 1, 0, 1, 1.0)
+        with pytest.raises(EmptyGrid):
+            gamesim.GameSpec(grid, (0.1, -0.1), np.zeros((4, 2)))
 
     def test_nonunit_weights_rejected(self):
         spec = normalize(ProblemSpec(2, (1.0, 2.0), (1.0, -0.5)))

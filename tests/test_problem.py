@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membranes.errors import InvalidWeight, NondegeneracyViolation
+from membranes.errors import InvalidWeight, NonFiniteData, NondegeneracyViolation
 from membranes.problem import (
     GroupIndex,
     ProblemSpec,
@@ -70,6 +70,14 @@ class TestNormalize:
             ProblemSpec(2, (1, 0), (1, -1))
         with pytest.raises(InvalidWeight):
             ProblemSpec(2, (1, -2), (1, -1))
+
+    @pytest.mark.parametrize(
+        "weights, forces",
+        [((1, float("nan")), (1, -1)), ((1, 1), (float("nan"), -1)), ((1, 1), (float("inf"), -1))],
+    )
+    def test_non_finite_rejected(self, weights, forces):
+        with pytest.raises(NonFiniteData):
+            ProblemSpec(2, weights, forces)
 
 
 class TestGroupForce:

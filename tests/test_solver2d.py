@@ -2,16 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from membranes import solver2d
 from membranes.cones1d import Cone1D
 from membranes.errors import (
     EmptyFreeBoundary,
+    EmptyGrid,
     IncompatibleGrids,
+    NonFiniteData,
     UnorderedBoundary,
 )
 from membranes.exact1d import gamma_to_solution
-from membranes.problem import ProblemSpec
+from membranes.problem import ProblemSpec, normalize
 from membranes.solver2d import Grid, GridSolution2D
 
 
@@ -147,6 +151,85 @@ class TestSolve:
         itr = g2.indexing()[0]
         assert np.abs(warm.u[itr] - cold.u[itr]).max() <= 1e-12
         assert warm.meta["sweeps"] <= cold.meta["sweeps"]
+
+
+class TestOverRelaxation:
+    @pytest.mark.parametrize("seed", [900, 901, 902, 903])
+    def test_default_tol_within_tol_of_stagnation(self, spec2, spec3, seed):
+        # Criterion 09's instances: converged must mean within tol of the
+        # discrete solution, which a tol=0 solve reaches by stagnation.
+        spec = spec2 if seed % 2 == 0 else spec3
+        g = Grid.rectangle(-1, 1, -1, 1, 1 / 32)
+        data = ordered_random_boundary(spec, np.random.default_rng(seed))
+        sol = solver2d.solve(spec, g, data, max_sweeps=60000)
+        ref = solver2d.solve(spec, g, data, tol=0.0, max_sweeps=60000)
+        itr = g.indexing()[0]
+        tol = sol.meta["tol"]
+        assert sol.meta["converged"] and sol.meta["error_bound"] <= tol
+        assert 1.0 < sol.meta["omega"] < 2.0
+        assert ref.meta["converged"] and ref.meta["final_change"] == 0.0
+        assert np.abs(sol.u[itr] - ref.u[itr]).max() <= tol
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        cells=st.sampled_from([4, 6, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        sweeps=st.integers(1, 60),
+    )
+    def test_ordering_and_energy_every_sweep(self, n, cells, seed, sweeps):
+        rng = np.random.default_rng(seed)
+        forces = np.cumsum(rng.uniform(0.2, 2.0, n))[::-1]
+        spec = normalize(ProblemSpec(n, tuple(rng.uniform(0.3, 3.0, n)), tuple(forces)))
+        g = Grid.rectangle(0, 1, 0, 1, 1 / cells)
+        sol = solver2d.solve(spec, g, ordered_random_boundary(spec, rng), tol=0.0,
+                             max_sweeps=sweeps, track_energy=True)
+        itr = g.indexing()[0]
+        assert (sol.u[itr][:, :-1] - sol.u[itr][:, 1:]).min() >= 0.0
+        tr = sol.meta["energy_trace"]
+        assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+
+    def test_max_sweeps_not_converged_has_no_bound(self, spec2, rng):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 16)
+        sol = solver2d.solve(spec2, g, ordered_random_boundary(spec2, rng), max_sweeps=30)
+        assert not sol.meta["converged"]
+        assert sol.meta["error_bound"] == np.inf
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_boundary_data(self, spec2, value):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        with pytest.raises(NonFiniteData):
+            solver2d.solve(spec2, g, lambda p: np.full((len(p), 2), value))
+
+    def test_one_non_finite_value(self, spec2, rng):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        data = ordered_random_boundary(spec2, rng)
+
+        def bad(p):
+            vals = data(p)
+            vals[3, 1] = np.nan
+            return vals
+
+        with pytest.raises(NonFiniteData):
+            solver2d.solve(spec2, g, bad)
+
+    def test_non_finite_init(self, spec2, rng):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        init = np.full((len(g.indexing()[0]), 2), np.nan)
+        with pytest.raises(NonFiniteData):
+            solver2d.solve(spec2, g, ordered_random_boundary(spec2, rng), init=init)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Grid.rectangle(0, 1, 0, 1, 1.0), lambda: Grid.interval(0, 1, 1.0),
+         lambda: Grid.disk(0, 0, 0.25, 0.5)],
+        ids=["rectangle", "interval", "disk"],
+    )
+    def test_grid_without_interior(self, spec2, make):
+        with pytest.raises(EmptyGrid):
+            solver2d.solve(spec2, make(), lambda p: np.zeros((len(p), 2)))
 
 
 class TestResidual:
