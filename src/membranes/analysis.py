@@ -369,22 +369,35 @@ def _profile_eps(cone, b, theta, rel, uvals, radius):
 
 
 def _lsq_branch(cone, theta, rel, uvals, resid=None):
+    """Least-squares branch vector b = basis @ c of the linearized profile
+    cone(y2) + y1 y2 b_side(y2), fitted to ``uvals`` (or to ``resid``).
+
+    The design rows are s_p C_side(p) with s = y1 y2 and C_-, C_+ the two
+    halves of the basis, so the normal equations read
+    (S_+ C_+^T C_+ + S_- C_-^T C_-) c = C_+^T T_+ + C_-^T T_-, with S the
+    sum of s^2 and T the sum of s times the target rows on each side.  The
+    squared condition number costs nothing measurable: on a side's own
+    columns C^T C has its eigenvalues between 1 and N (the group sizes),
+    and s <= r^2.  lstsq keeps the minimum-norm answer when a side of the
+    ball has no points.
+    """
     basis = branch_space_basis(cone)
-    if basis.shape[1] == 0:
+    k = basis.shape[1]
+    if k == 0:
         return zero_branch_vector(cone)
     ct, st = np.cos(theta), np.sin(theta)
     y1 = rel @ np.array([ct, st])
     y2 = rel @ np.array([-st, ct])
     target = uvals - cone.eval(y2) if resid is None else resid
     n = cone.n
-    side = y2 >= 0
-    cols = []
-    for j in range(basis.shape[1]):
-        colm, colp = basis[:n, j], basis[n:, j]
-        per_membrane = np.where(side[:, None], colp[None, :], colm[None, :])
-        cols.append((y1 * y2)[:, None] * per_membrane)
-    a_mat = np.stack([c.ravel() for c in cols], axis=1)
-    c, *_ = np.linalg.lstsq(a_mat, target.ravel(), rcond=None)
+    s = y1 * y2
+    s_plus = np.where(y2 >= 0, s, 0.0)
+    normal = np.zeros((k, k))
+    rhs = np.zeros(k)
+    for c_side, s_side in ((basis[n:], s_plus), (basis[:n], s - s_plus)):
+        normal += (s_side @ s_side) * (c_side.T @ c_side)
+        rhs += c_side.T @ (s_side @ target)
+    c, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
     return BranchVector(cone, basis @ c)
 
 
@@ -453,9 +466,12 @@ def _fit_degenerate(cone, rel, uvals, radius, n_coarse, angle_tol):
 def fit_cone(sol: GridSolution2D, center, radius, catalogue=None, n_coarse=64, angle_tol=1e-4) -> FitResult:
     """Best sup-norm fit of the profile family over the cone catalogue.
 
-    Connected cones are fitted over rotation and branch vector (linearized
-    least squares seeded, golden-section refined in the angle, then polished
-    against the exact profile); degenerate cones over rotation only.
+    Connected cones are fitted over rotation and branch vector: at each
+    angle of a coarse scan and its golden-section refinement the branch
+    vector solves the linearized least squares through its k x k normal
+    equations (``_lsq_branch``), the angle minimizes the RMS misfit of the
+    exact profile, and the winner is polished against the exact profile in
+    the sup norm.  Degenerate cones are fitted over rotation only.
     Deterministic given the search schedule.
     """
     rel, uvals = _ball_samples(sol, center, radius)

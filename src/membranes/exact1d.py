@@ -422,9 +422,13 @@ def _solve_in_region(cone, sigma, bvec):
     return v_mat @ c
 
 
-def _roundtrip_residual(cone, gamma, bvec):
-    got = solution_to_b(gamma_to_solution(cone, gamma)).values
-    return float(np.abs(got - bvec).max())
+def _roundtrip(cone, gamma, bvec, tol):
+    """The solution at ``gamma`` if it maps back to ``bvec`` within ``tol``
+    (a NaN residual fails the comparison), else None."""
+    sol = gamma_to_solution(cone, gamma)
+    if float(np.abs(solution_to_b(sol).values - bvec).max()) <= tol:
+        return sol
+    return None
 
 
 def b_to_gamma(cone, b, order_seed=None):
@@ -433,54 +437,53 @@ def b_to_gamma(cone, b, order_seed=None):
 
     Fixed-point region iteration seeded from ``order_seed`` (the identity
     order by default), exhaustive permutation fallback for N <= 6, segment
-    continuation from a solved anchor above that.
+    continuation from a solved anchor above that.  Every candidate is
+    accepted only by its round-trip residual.
     """
+    return _invert(cone, b, order_seed).gamma
+
+
+def _invert(cone, b, order_seed=None) -> PiecewiseQuadratic1D:
+    """The solution whose gamma b_to_gamma returns: the one built for the
+    round-trip check, so that it is built once."""
     if not cone.connected:
         raise NotConnected(f"cone {cone.pattern!r} is not connected")
     bvec = b.values if isinstance(b, BranchVector) else np.asarray(b, dtype=float)
     d = cone.n - 1
     if d == 0:
-        return np.empty(0)
+        return gamma_to_solution(cone, np.empty(0))
     tol = 1e-10 * max(1.0, float(np.abs(bvec).max()))
 
     if order_seed is None:
         order_seed = range(d)
 
-    gamma = _iterate_regions(cone, tuple(order_seed), bvec, tol)
-    if gamma is None and d <= 5:
+    sol = _iterate_regions(cone, tuple(order_seed), bvec, tol)
+    if sol is None and d <= 5:
         for sigma in itertools.permutations(range(d)):
-            cand = _solve_in_region(cone, sigma, bvec)
-            order = np.argsort(cand, kind="stable")
-            if np.all(cand[order] == np.sort(cand)) and _roundtrip_residual(
-                cone, cand, bvec
-            ) <= tol:
-                gamma = cand
+            sol = _roundtrip(cone, _solve_in_region(cone, sigma, bvec), bvec, tol)
+            if sol is not None:
                 break
-    if gamma is None and d > 5:
-        gamma = _continuation(cone, bvec, tol)
-    if gamma is None:
+    if sol is None and d > 5:
+        sol = _continuation(cone, bvec, tol)
+    if sol is None:
         raise NoRegionFound(
             f"region iteration failed for cone {cone.pattern!r}; the map is "
             "globally invertible, so this indicates a bug"
         )
-    return gamma
+    return sol
 
 
 def _iterate_regions(cone, sigma, bvec, tol, max_iter=40):
+    """Solve in region sigma, move to the region of the result, repeat; the
+    solution once the region repeats (a fixed point or a cycle) and passes
+    the round trip, else None."""
     visited = set()
     for _ in range(max_iter):
         gamma = _solve_in_region(cone, sigma, bvec)
         new_sigma = tuple(int(i) for i in np.argsort(gamma, kind="stable"))
-        if new_sigma == sigma:
-            if _roundtrip_residual(cone, gamma, bvec) <= tol:
-                return gamma
-            return None
         visited.add(sigma)
         if new_sigma in visited:
-            # Cycle: try the candidate anyway before giving up.
-            if _roundtrip_residual(cone, gamma, bvec) <= tol:
-                return gamma
-            return None
+            return _roundtrip(cone, gamma, bvec, tol)
         sigma = new_sigma
     return None
 
@@ -490,7 +493,7 @@ def _continuation(cone, bvec, tol, max_steps=2048):
     anchor_gamma = np.arange(d, dtype=float)
     anchor_b = solution_to_b(gamma_to_solution(cone, anchor_gamma)).values
     sigma = tuple(range(d))
-    t, step, gamma = 0.0, 0.25, anchor_gamma
+    t, step, sol = 0.0, 0.25, None
     steps = 0
     while t < 1.0 and steps < max_steps:
         steps += 1
@@ -502,17 +505,17 @@ def _continuation(cone, bvec, tol, max_steps=2048):
             if step < 1e-6:
                 return None
             continue
-        gamma, t = cand, tn
-        sigma = tuple(int(i) for i in np.argsort(gamma, kind="stable"))
+        sol, t = cand, tn
+        sigma = tuple(int(i) for i in np.argsort(sol.gamma, kind="stable"))
         step = min(0.25, step * 2.0)
-    if t < 1.0 or _roundtrip_residual(cone, gamma, bvec) > tol:
-        return None
-    return gamma
+    # The last accepted step targets bvec itself with tol, so it passed the
+    # round trip already.
+    return sol if t >= 1.0 else None
 
 
 def solution_for(cone, b) -> PiecewiseQuadratic1D:
     """The global solution h(., b)."""
-    return gamma_to_solution(cone, b_to_gamma(cone, b))
+    return _invert(cone, b)
 
 
 def h_eval(cone, b, x):

@@ -19,6 +19,7 @@ SUITES = ("cones", "exact1d", "projection", "solver", "weiss", "game", "all")
 
 _SPEC2 = normalize(ProblemSpec(2, (1.0, 1.0), (1.0, -1.0)))
 _SPEC3 = normalize(ProblemSpec(3, (1.0, 2.0, 1.5), (2.0, 0.3, -1.0)))
+_SPEC3U = normalize(ProblemSpec(3, (1.0, 1.0, 1.0), (1.0, 0.2, -0.8)))
 
 
 def run_suite(name):
@@ -146,7 +147,28 @@ def _suite_weiss():
     return [
         ("W(p0) matches (pi/32) sum w f^2", err <= 5e-3, f"err {err:.1e}"),
         ("W of a cone is radius independent", spread <= 5e-3, f"spread {spread:.1e}"),
+        _fit_row(),
     ]
+
+
+def _fit_row():
+    """Acceptance criterion 11's data: a rotated N=3 profile whose branch
+    vector is orthogonal to the translation direction, plus noise 1e-3 r^2."""
+    cone = cones1d.Cone1D(_SPEC3U, "LL")
+    t = exact1d.tau(cone)
+    t_hat = t.values / t.norm()
+    basis = exact1d.branch_space_basis(cone)
+    q = basis[:, 0] - t_hat * (t_hat @ basis[:, 0])
+    b_true = exact1d.BranchVector(cone, q / np.linalg.norm(q) * 0.05)
+    theta, r = 0.3, 0.6
+    prof = exact1d.ApproximateProfile2D(cone, exact1d.zero_branch_vector(cone), b_true, theta)
+    grid = solver2d.Grid.rectangle(-1, 1, -1, 1, 1 / 64)
+    noise = 1e-3 * r * r * np.random.default_rng(1111).uniform(-1, 1, (grid.n_nodes, 3))
+    vals = prof.eval(grid.coords()) + noise
+    sol = solver2d.GridSolution2D(grid, _SPEC3U, vals, vals[grid.indexing()[1]])
+    fit = analysis.fit_cone(sol, (0, 0), r, catalogue=[cone])
+    d_theta = abs(fit.angle - theta)
+    return ("fit_cone recovers a rotated N=3 profile", d_theta <= 2e-3, f"angle err {d_theta:.1e}")
 
 
 def _suite_game():

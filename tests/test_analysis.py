@@ -12,6 +12,8 @@ from membranes.errors import (
 )
 from membranes.exact1d import (
     ApproximateProfile2D,
+    BranchVector,
+    branch_space_basis,
     build_degenerate_profile,
     random_branch_vector,
     solution_for,
@@ -233,6 +235,58 @@ class TestBlowupRescale:
         sol = field_solution(spec2, g, p0.eval_2d)
         with pytest.raises(OutOfDomain):
             analysis.blowup_rescale(sol, 1.5)
+
+
+def dense_lsq_branch(cone, theta, rel, uvals, resid=None):
+    """Reference for analysis._lsq_branch: the (M N) x k design matrix built
+    one basis column at a time and solved by dense least squares."""
+    basis = branch_space_basis(cone)
+    ct, st = np.cos(theta), np.sin(theta)
+    y1 = rel @ np.array([ct, st])
+    y2 = rel @ np.array([-st, ct])
+    target = uvals - cone.eval(y2) if resid is None else resid
+    n = cone.n
+    side = y2 >= 0
+    cols = []
+    for j in range(basis.shape[1]):
+        colm, colp = basis[:n, j], basis[n:, j]
+        per_membrane = np.where(side[:, None], colp[None, :], colm[None, :])
+        cols.append(((y1 * y2)[:, None] * per_membrane).ravel())
+    c, *_ = np.linalg.lstsq(np.stack(cols, axis=1), target.ravel(), rcond=None)
+    return BranchVector(cone, basis @ c)
+
+
+class TestLsqBranch:
+    def test_normal_equations_match_dense_lstsq(self, spec2, spec3, spec4, rng):
+        for spec in (spec2, spec3, spec4):
+            cones = [c for c in enumerate_cones(spec) if c.connected]
+            for _ in range(4):
+                cone = cones[rng.integers(len(cones))]
+                theta = rng.uniform(0.0, 2.0 * np.pi)
+                r = rng.uniform(0.2, 1.0)
+                rad = r * np.sqrt(rng.uniform(0.0, 1.0, 400))
+                phi = rng.uniform(0.0, 2.0 * np.pi, 400)
+                rel = np.column_stack([rad * np.cos(phi), rad * np.sin(phi)])
+                b = random_branch_vector(cone, rng, scale=rng.uniform(0.01, 0.5))
+                prof = ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta)
+                uvals = prof.eval(rel) + 1e-3 * rng.uniform(-1, 1, (len(rel), cone.n))
+                resid = rng.standard_normal((len(rel), cone.n))
+                for res in (None, resid):
+                    got = analysis._lsq_branch(cone, theta, rel, uvals, resid=res)
+                    ref = dense_lsq_branch(cone, theta, rel, uvals, resid=res)
+                    scale = max(1.0, ref.norm())
+                    assert np.abs(got.values - ref.values).max() <= 1e-9 * scale
+
+    def test_one_sided_ball_gets_the_minimum_norm_answer(self, spec3, rng):
+        # No points on the y2 < 0 side: those basis coefficients are free,
+        # and both solvers must leave them at zero.
+        cone = Cone1D(spec3, "RL")
+        rel = np.column_stack([rng.uniform(-0.5, 0.5, 300), rng.uniform(0.01, 0.5, 300)])
+        uvals = cone.eval(rel[:, 1]) + 1e-2 * rng.standard_normal((300, 3))
+        got = analysis._lsq_branch(cone, 0.0, rel, uvals)
+        ref = dense_lsq_branch(cone, 0.0, rel, uvals)
+        assert np.abs(got.minus).max() <= 1e-12
+        assert np.abs(got.values - ref.values).max() <= 1e-9 * max(1.0, ref.norm())
 
 
 class TestFitCone:

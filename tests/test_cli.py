@@ -258,6 +258,11 @@ class TestMain:
         rows = json.loads((tmp_path / "verify_cones.json").read_text())
         assert all(r["passed"] for r in rows)
 
+    def test_verify_weiss_covers_fitting(self, tmp_path):
+        assert cli.verify("weiss", out_dir=tmp_path) == 0
+        rows = json.loads((tmp_path / "verify_weiss.json").read_text())
+        assert "fit_cone recovers a rotated N=3 profile" in [r["name"] for r in rows]
+
     def test_unknown_suite(self):
         with pytest.raises(SystemExit):
             cli.main(["verify", "bogus"])

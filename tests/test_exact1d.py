@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from membranes import solver2d
+from membranes import exact1d, solver2d
 from membranes.cones1d import Cone1D, decompose_degenerate, enumerate_cones
 from membranes.errors import (
     NotConnected,
@@ -147,6 +147,43 @@ class TestBToGamma:
             gam = b_to_gamma(cone, b, order_seed=seed)
             sols.append(gamma_to_solution(cone, gam).eval(XS))
         assert np.abs(sols[0] - sols[1]).max() <= 1e-10
+
+    def test_permutation_fallback_round_trips(self, spec3, spec4, rng, monkeypatch):
+        # With region iteration failing, the exhaustive region scan alone
+        # must find a gamma that maps back to b.
+        monkeypatch.setattr(exact1d, "_iterate_regions", lambda *args, **kwargs: None)
+        spec5 = normalize(ProblemSpec(5, (1.0, 0.6, 1.4, 0.9, 1.2), (2.5, 1.0, 0.2, -0.7, -3.0)))
+        for spec in (spec3, spec4, spec5):
+            for cone in connected_cones(spec)[:6]:
+                for _ in range(3):
+                    b = random_branch_vector(cone, rng, scale=rng.uniform(0.05, 3.0))
+                    gam = b_to_gamma(cone, b)
+                    b2 = solution_to_b(gamma_to_solution(cone, gam))
+                    tol = 1e-10 * max(1.0, float(np.abs(b.values).max()))
+                    assert np.abs(b2.values - b.values).max() <= tol
+
+    def test_solution_for_is_the_checked_solution(self, spec4, rng):
+        for cone in connected_cones(spec4):
+            b = random_branch_vector(cone, rng, scale=rng.uniform(0.05, 3.0))
+            sol = solution_for(cone, b)
+            gam = b_to_gamma(cone, b)
+            assert sol.gamma.tobytes() == gam.tobytes()
+            assert sol.coeffs.tobytes() == gamma_to_solution(cone, gam).coeffs.tobytes()
+
+    def test_single_build_when_iteration_succeeds_at_once(self, spec3, monkeypatch):
+        cone = Cone1D(spec3, "RL")
+        # b of an increasing gamma: the identity region holds at once.
+        b = solution_to_b(gamma_to_solution(cone, np.array([-0.4, 0.3])))
+        solution_for(cone, b)  # builds the identity region's matrices once
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return gamma_to_solution(*args)
+
+        monkeypatch.setattr(exact1d, "gamma_to_solution", counted)
+        solution_for(cone, b)
+        assert len(builds) == 1
 
 
 class TestHEval:
