@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Cross-validate the grid solver against the ticket-exchange game on a
-lattice: Bellman fixed point vs projected SOR, plus Monte Carlo
-policy evaluation at a few probe nodes."""
+lattice: the Bellman fixed point (computed with the solver's sweep) vs a
+solve run to stagnation, its KKT residual, and Monte Carlo evaluation of the
+exchange policy at a few probe nodes, which is independent of the sweep."""
 
 import argparse
 
@@ -31,7 +32,11 @@ def main():
 
     game = gamesim.membrane_game(spec, grid, data)
     table = gamesim.bellman_solve(game, tol=1e-14)
-    print(f"Bellman: {table.meta['iterations']} iterations, residual {table.meta['residual']:.2e}")
+    meta = table.meta
+    print(
+        f"Bellman: {meta['iterations']} sweeps, last change {meta['residual']:.2e},"
+        f" error bound {meta['error_bound']:.2e}"
+    )
 
     sol = solver2d.solve(spec, grid, data, tol=0.0, max_sweeps=200000)
     itr = grid.indexing()[0]

@@ -8,7 +8,7 @@ exact1d     global 1D solutions h(x, b), the error function, 2D profiles
 projection  weighted isotonic projection onto the ordered cone (min-max formula)
 solver2d    projected SOR grid solver on intervals/rectangles/disks
 analysis    free boundaries, Weiss energy, blow-up rescaling, cone fitting
-gamesim     ticket-exchange random walk game, the independent oracle
+gamesim     ticket-exchange game: Bellman table by the solver's sweep, Monte Carlo check
 cli         scenario runner and verification suites
 """
 

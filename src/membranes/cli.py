@@ -301,7 +301,9 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
             _write_json(out / "game_spec.json", game.to_json_obj())
             outputs.append("game_spec.json")
             t0 = time.perf_counter()
-            vt = gamesim.bellman_solve(game, tol=tol if tol is not None else scenario.get("tol", 1e-13))
+            bellman_tol = tol if tol is not None else scenario.get("tol", 1e-13)
+            tolerances["bellman_tol"] = bellman_tol
+            vt = gamesim.bellman_solve(game, tol=bellman_tol, max_iters=scenario.get("max_sweeps"))
             timings["bellman_s"] = time.perf_counter() - t0
             records = []
             n_walks = scenario["n_walks"]

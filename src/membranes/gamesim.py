@@ -1,5 +1,5 @@
-"""Ticket-exchange random walk game on a lattice, the independent oracle for
-the discrete membrane system with unit weights.
+"""Ticket-exchange random walk game on a lattice, an oracle for the discrete
+membrane system with unit weights.
 
 Each round the players may reorder their tickets by priority; holding ticket
 k costs f_k for the round; the token then moves to a uniform random neighbor
@@ -9,6 +9,12 @@ indifferent and trade, pooling the affected values.  The exchange therefore
 reallocates the continuation vector onto the ordered cone (the unit-weight
 isotonic projection), and the equilibrium values solve the same discrete
 complementarity system as the grid solver.
+
+The equilibrium value table is computed with the grid solver's projected
+SOR sweep, so it is not an independent check of the solver.  The game stays
+an independent check through the Monte Carlo simulation of the exchange
+policy, whose mean payoffs are compared with the table, and in the
+benchmark through the policy-iteration reference solution.
 
 Randomness is a counter-based hash of (seed, walk index, step, channel), so
 results are bit-identical for any execution order.
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import NonFiniteData, NotConverged, UnorderedBoundary
 from .projection import isotonic_project_batch
-from .solver2d import BOUNDARY, Grid
+from .solver2d import BOUNDARY, Grid, _relax, dirichlet_values
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -100,46 +106,26 @@ def membrane_game(spec, grid, boundary_data) -> GameSpec:
     grid: unit weights required, per-round costs h^2 f / (2d)."""
     if any(abs(w - 1.0) > 1e-12 for w in spec.weights):
         raise ValueError("the game interpretation requires unit weights")
-    _, boundary, _, _ = grid.indexing()
-    pts = grid.coords()[boundary]
-    phi = np.asarray(boundary_data(pts), dtype=float) if callable(boundary_data) else np.asarray(boundary_data, float)
+    phi = dirichlet_values(grid, boundary_data, spec.n_membranes)
     scale = grid.h**2 / (2.0 * grid.dimension)
     return GameSpec(grid, tuple(scale * f for f in spec.forces), phi)
 
 
 def bellman_solve(game: GameSpec, tol=1e-13, max_iters=None) -> ValueTable:
-    """Value iteration for the exchange fixed point.
-
-    Interior update: continuation vector u_j = mean over neighbors of v_j
-    minus the round cost, reallocated onto the ordered cone; boundary rows
-    stay at the exit payoffs.  Stops when the sup-norm residual of one
-    update falls below ``tol``.
-    """
+    """Fixed point of the exchange update: interior continuation vectors,
+    mean over neighbors of v_j minus the round cost, reallocated onto the
+    ordered cone; boundary rows stay at the exit payoffs.  Computed with the
+    grid solver's projected SOR sweep, stopped once its error estimate is
+    at most ``tol`` (else NotConverged) or after ``max_iters`` sweeps.
+    ``meta``: ``iterations`` (sweeps), ``residual`` (last sweep change),
+    ``error_bound``."""
     grid = game.lattice
-    n = game.n_tickets
-    interior, boundary, nbr, _ = grid.indexing()
-    costs = np.asarray(game.costs)
-    ones = np.ones(n)
-
-    v = np.full((grid.n_nodes, n), np.nan)
-    v[boundary] = game.payoffs
-    # Harmonic-in-each-ticket start from the payoffs, then order it.
-    from .solver2d import _harmonic_extension
-
-    v[interior] = isotonic_project_batch(_harmonic_extension(grid, game.payoffs, n), ones)
-
-    if max_iters is None:
-        max_iters = int(40 * (grid.diameter() / grid.h) ** 2) + 2000
-    inv = 1.0 / (2.0 * grid.dimension)
-    residual = np.inf
-    for it in range(max_iters):
-        cont = v[nbr].sum(axis=1) * inv - costs
-        vnew = isotonic_project_batch(cont, ones)
-        residual = float(np.abs(vnew - v[interior]).max())
-        v[interior] = vnew
-        if residual <= tol:
-            return ValueTable(game, v, meta={"iterations": it + 1, "residual": residual})
-    raise NotConverged(f"value iteration residual {residual:.3e} > tol {tol:.3e}")
+    load = 2.0 * grid.dimension * np.asarray(game.costs)
+    v, changes, bound, _ = _relax(grid, game.payoffs, np.ones(game.n_tickets), load, tol, max_iters)
+    if not bound <= tol:
+        raise NotConverged(f"value iteration error bound {bound:.3e} > tol {tol:.3e}")
+    meta = {"iterations": len(changes), "residual": changes[-1], "error_bound": bound}
+    return ValueTable(game, v, meta=meta)
 
 
 def _exchange_policy(game: GameSpec, values: ValueTable):

@@ -17,6 +17,11 @@ remaining sweeps use omega = 1 (plain projected Gauss-Seidel), which
 reaches exact stagnation where over-relaxed sweeps would keep moving nodes
 by an ulp.  The weighted membrane sum is made exactly harmonic at
 initialization, which removes the slowest error mode.
+
+One sweep loop, ``_relax``, serves ``solve`` (load h^2 f) and
+``gamesim.bellman_solve`` (unit weights, load 2d times the round costs): an
+over-relaxed sweep of that monotone map has the fixed point of its Jacobi
+form, value iteration (Bertsekas & Tsitsiklis 1989, sec. 3.2).
 """
 
 from __future__ import annotations
@@ -243,6 +248,57 @@ def _error_bound(changes, window=20):
     return a / (1.0 - rho) if rho < 1.0 else np.inf
 
 
+def _relax(grid, gvals, w, load, tol, max_sweeps=None, init=None, after_sweep=None):
+    """Projected SOR for u = proj_w((sum of the neighbors' u - load) / 2d) at
+    interior nodes, boundary rows held at ``gvals``, from ``init`` (interior
+    rows or a full field) or the harmonic extension, projected.  Stops once
+    ``_error_bound`` <= ``tol`` or after ``max_sweeps`` (default 12 (L/h)^2
+    + 1000); calls ``after_sweep(u)`` after each sweep.
+    Returns (u, sweep changes, error bound, omega)."""
+    n = len(w)
+    interior, boundary, nbr, red = grid.indexing()
+    u = np.full((grid.n_nodes, n), np.nan)
+    u[boundary] = gvals
+    if init is None:
+        u[interior] = _harmonic_extension(grid, gvals, n)
+    else:
+        init = np.asarray(init, dtype=float)
+        u[interior] = init if init.shape == (len(interior), n) else init[interior]
+        if not np.isfinite(u[interior]).all():
+            raise NonFiniteData("initial guess contains NaN or infinite values")
+    u[interior] = isotonic_project_batch(u[interior], w)
+
+    L = grid.diameter()
+    if max_sweeps is None:
+        max_sweeps = int(np.ceil(12.0 * (L / grid.h) ** 2)) + 1000
+    inv2d = 1.0 / (2.0 * grid.dimension)
+    colors = ((nbr[red], interior[red]), (nbr[~red], interior[~red]))
+    omega = 2.0 / (1.0 + np.sin(np.pi * grid.h / L))
+    relax = omega - 1.0
+    floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.nanmax(np.abs(u))))
+    changes = []
+    bound = np.inf
+    while len(changes) < max_sweeps:
+        change = 0.0
+        for cn, ci in colors:
+            old = u[ci]
+            uhat = (u[cn].sum(axis=1) - load) * inv2d
+            # Not old + omega (uhat - old): this form is exactly uhat once
+            # relax is 0, so the omega = 1 finish can stagnate exactly.
+            unew = isotonic_project_batch(uhat + relax * (uhat - old), w)
+            change = max(change, float(np.abs(unew - old).max()))
+            u[ci] = unew
+        changes.append(change)
+        if after_sweep is not None:
+            after_sweep(u)
+        if change <= floor:  # rounding level: finish with omega = 1
+            relax = 0.0
+        bound = _error_bound(changes)
+        if bound <= tol:
+            break
+    return u, changes, bound, omega
+
+
 def solve(
     spec: ProblemSpec,
     grid: Grid,
@@ -267,74 +323,25 @@ def solve(
     """
     if not spec.is_normalized:
         raise ValueError("spec must be normalized (sum w f = 0)")
-    n = spec.n_membranes
-    interior, boundary, nbr, red = grid.indexing()
-    gvals = dirichlet_values(grid, boundary_data, n)
-
-    u = np.full((grid.n_nodes, n), np.nan)
-    u[boundary] = gvals
-    if init is None:
-        u[interior] = _harmonic_extension(grid, gvals, n)
-    else:
-        init = np.asarray(init, dtype=float)
-        u[interior] = init if init.shape == (len(interior), n) else init[interior]
-        if not np.isfinite(u[interior]).all():
-            raise NonFiniteData("initial guess contains NaN or infinite values")
-    w = spec.w
-    u[interior] = isotonic_project_batch(u[interior], w)
-
-    L = grid.diameter()
-    fmax = float(np.abs(spec.f).max())
+    gvals = dirichlet_values(grid, boundary_data, spec.n_membranes)
     if tol is None:
-        tol = 1e-10 * max(fmax, 1e-30) * L * L
-    if max_sweeps is None:
-        max_sweeps = int(np.ceil(12.0 * (L / grid.h) ** 2)) + 1000
-
-    f = spec.f
-    inv2d = 1.0 / (2.0 * grid.dimension)
-    h2f = grid.h * grid.h * f
-    colors = (nbr[red], nbr[~red], interior[red], interior[~red])
-    omega = 2.0 / (1.0 + np.sin(np.pi * grid.h / L))
-    relax = omega - 1.0
-    floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.nanmax(np.abs(u))))
+        L = grid.diameter()
+        tol = 1e-10 * max(float(np.abs(spec.f).max()), 1e-30) * L * L
     energies = []
-    changes = []
-    bound = np.inf
-    while len(changes) < max_sweeps:
-        change = 0.0
-        for cn, ci in ((colors[0], colors[2]), (colors[1], colors[3])):
-            old = u[ci]
-            uhat = (u[cn].sum(axis=1) - h2f) * inv2d
-            # Not old + omega (uhat - old): this form is exactly uhat once
-            # relax is 0, so the omega = 1 finish can stagnate exactly.
-            unew = isotonic_project_batch(uhat + relax * (uhat - old), w)
-            change = max(change, float(np.abs(unew - old).max()))
-            u[ci] = unew
-        changes.append(change)
-        if track_energy:
-            energies.append(_energy_flat(grid, spec, u))
-        if change <= floor:  # rounding level: finish with omega = 1
-            relax = 0.0
-        bound = _error_bound(changes)
-        if bound <= tol:
-            break
-    sol = GridSolution2D(
-        grid,
-        spec,
-        u,
-        gvals.copy(),
-        meta={
-            "sweeps": len(changes),
-            "converged": bool(bound <= tol),
-            "final_change": changes[-1] if changes else np.inf,
-            "error_bound": bound,
-            "omega": omega,
-            "tol": tol,
-        },
-    )
+    track = (lambda u: energies.append(_energy_flat(grid, spec, u))) if track_energy else None
+    load = grid.h * grid.h * spec.f
+    u, changes, bound, omega = _relax(grid, gvals, spec.w, load, tol, max_sweeps, init, track)
+    meta = {
+        "sweeps": len(changes),
+        "converged": bool(bound <= tol),
+        "final_change": changes[-1] if changes else np.inf,
+        "error_bound": bound,
+        "omega": omega,
+        "tol": tol,
+    }
     if track_energy:
-        sol.meta["energy_trace"] = energies
-    return sol
+        meta["energy_trace"] = energies
+    return GridSolution2D(grid, spec, u, gvals.copy(), meta=meta)
 
 
 def _fill_holes(arr, mask):

@@ -182,6 +182,8 @@ def _suite_game():
     itr = grid.indexing()[0]
     diff = float(np.abs(vt.v[itr] - sol.u[itr]).max())
     rows = [("Bellman fixed point equals grid solution", diff <= 1e-8, f"max diff {diff:.1e}")]
+    kkt = solver2d.residual(solver2d.GridSolution2D(grid, spec, vt.v, game.payoffs)).kkt_residual
+    rows.append(("Bellman table satisfies KKT (residual <= 1e-8)", kkt <= 1e-8, f"kkt {kkt:.1e}"))
     probe = itr[len(itr) // 2]
     mean, se = gamesim.monte_carlo_eval(game, vt, probe, 1, 20000, seed=123)
     gap = abs(mean - vt.v[probe, 0])

@@ -160,6 +160,16 @@ class TestRun:
         meta = json.loads(text, parse_constant=reject)["meta"]
         assert meta["error_bound"] is None and meta["converged"] is False
 
+    def test_game_max_sweeps_exit_3(self, tmp_path, capsys):
+        scenario = dict(GAME, max_sweeps=3)
+        assert cli.run(write_scenario(tmp_path, "nc.json", scenario), tmp_path / "o") == 3
+        assert "NotConverged" in capsys.readouterr().err
+
+    def test_game_manifest_records_bellman_tol(self, tmp_path):
+        assert cli.run(write_scenario(tmp_path, "g.json", dict(GAME, tol=1e-12)), tmp_path / "o") == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["tolerances"] == {"bellman_tol": 1e-12}
+
     def test_reproducible_outputs(self, tmp_path):
         scen = write_scenario(
             tmp_path,
@@ -262,6 +272,11 @@ class TestMain:
         assert cli.verify("weiss", out_dir=tmp_path) == 0
         rows = json.loads((tmp_path / "verify_weiss.json").read_text())
         assert "fit_cone recovers a rotated N=3 profile" in [r["name"] for r in rows]
+
+    def test_verify_game_checks_kkt(self, tmp_path):
+        assert cli.verify("game", out_dir=tmp_path) == 0
+        rows = json.loads((tmp_path / "verify_game.json").read_text())
+        assert "Bellman table satisfies KKT (residual <= 1e-8)" in [r["name"] for r in rows]
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit):

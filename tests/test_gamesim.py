@@ -6,12 +6,69 @@ from membranes.cones1d import Cone1D
 from membranes.errors import EmptyGrid, NonFiniteData, NotConverged, UnorderedBoundary
 from membranes.exact1d import random_branch_vector, solution_for
 from membranes.problem import ProblemSpec, normalize
+from membranes.projection import isotonic_project_batch
 from membranes.solver2d import Grid
 
 
 def tilted_cone_data(spec, angle=0.25, shift=0.5):
     cone = Cone1D(spec, "L" * (spec.n_membranes - 1))
     return lambda pts: cone.eval_2d(pts - shift, angle)
+
+
+def jacobi_bellman(game, tol=1e-14, max_iters=100000):
+    """Reference for gamesim.bellman_solve: plain value iteration, every
+    interior row updated from the previous table, started from the ordered
+    harmonic extension of the payoffs and stopped once one update moves no
+    value by more than tol * max(1, |v|)."""
+    grid = game.lattice
+    n = game.n_tickets
+    interior, boundary, nbr, _ = grid.indexing()
+    costs = np.asarray(game.costs)
+    ones = np.ones(n)
+    v = np.full((grid.n_nodes, n), np.nan)
+    v[boundary] = game.payoffs
+    v[interior] = isotonic_project_batch(solver2d._harmonic_extension(grid, game.payoffs, n), ones)
+    inv = 1.0 / (2.0 * grid.dimension)
+    for _ in range(max_iters):
+        vnew = isotonic_project_batch(v[nbr].sum(axis=1) * inv - costs, ones)
+        change = float(np.abs(vnew - v[interior]).max())
+        v[interior] = vnew
+        if change <= tol * max(1.0, float(np.nanmax(np.abs(v)))):
+            return v
+    raise AssertionError(f"value iteration still moves by {change:.1e}")
+
+
+def hand_picked_game():
+    # Costs that do not sum to 0 and payoffs close enough that tickets 1-2
+    # and 2-3 pool at about half the nodes.
+    grid = Grid.rectangle(0, 1, 0, 1, 1 / 16)
+    pts = grid.coords()[grid.indexing()[1]]
+    phi = np.column_stack([0.05 + 0.1 * pts[:, 0], 0.05 * pts[:, 1], -0.02 * pts[:, 0] * pts[:, 1]])
+    return gamesim.GameSpec(grid, (0.003, 0.0, -0.002), phi)
+
+
+class TestJacobiReference:
+    def check(self, game):
+        got = gamesim.bellman_solve(game)
+        ref = jacobi_bellman(game)
+        itr = game.lattice.indexing()[0]
+        gap = np.abs(got.v[itr] - ref[itr])
+        assert (gap <= 1e-10 * np.maximum(1.0, np.abs(ref[itr]))).all()
+
+    def test_n1_not_normalized(self):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        self.check(gamesim.GameSpec(grid, (0.01,), np.zeros((len(grid.indexing()[1]), 1))))
+
+    def test_n2_rectangle(self, spec2):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 16)
+        self.check(gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2)))
+
+    def test_n3_rectangle(self, spec3_unit):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 16)
+        self.check(gamesim.membrane_game(spec3_unit, grid, tilted_cone_data(spec3_unit)))
+
+    def test_hand_picked_costs(self):
+        self.check(hand_picked_game())
 
 
 class TestBellman:
