@@ -30,27 +30,32 @@ from .errors import NonFiniteData, NotConverged, UnorderedBoundary
 from .projection import isotonic_project_batch
 from .solver2d import BOUNDARY, Grid, _relax, dirichlet_values
 
-_M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def _mix64(z):
-    """splitmix64 finalizer, vectorized over uint64 arrays (wraparound intended)."""
-    with np.errstate(over="ignore"):
-        z = (z + np.uint64(0x9E3779B97F4A7C15)) & _M64
-        z ^= z >> np.uint64(30)
-        z = (z * np.uint64(0xBF58476D1CE4E5B9)) & _M64
-        z ^= z >> np.uint64(27)
-        z = (z * np.uint64(0x94D049BB133111EB)) & _M64
-        z ^= z >> np.uint64(31)
+    """splitmix64 finalizer, in place on a uint64 array (wraparound intended)."""
+    t = np.empty_like(z)
+    z += _GAMMA
+    z ^= np.right_shift(z, _S30, out=t)
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _M2
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
 def _u01(seed, walks, step, channel):
-    """Uniform [0,1) from the (seed, walk, step, channel) counter."""
-    z = _mix64(np.uint64(step * 4 + channel))
-    z = _mix64(walks.astype(np.uint64) ^ z)
-    z = _mix64(np.uint64(seed) ^ z)
-    return (z >> np.uint64(11)) * (1.0 / (1 << 53))
+    """Uniform [0,1) from the (seed, walk, step, channel) counter; the seed
+    is taken mod 2^64."""
+    z = walks.astype(np.uint64)
+    z ^= _mix64(np.array([step * 4 + channel], dtype=np.uint64))
+    z = _mix64(z)
+    z ^= np.uint64(seed % 2**64)
+    z = _mix64(z)
+    return np.right_shift(z, _S11, out=z) * (1.0 / (1 << 53))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,83 +134,93 @@ def bellman_solve(game: GameSpec, tol=1e-13, max_iters=None) -> ValueTable:
 
 
 def _exchange_policy(game: GameSpec, values: ValueTable):
-    """Pooled exchange blocks per interior node: maps a held priority to the
-    block of tickets it may leave with (uniformly, by indifference)."""
+    """Pooled exchange block of every cell ``node * N + ticket`` (0-based
+    ticket): the first cell of the block of tickets that the held one may
+    leave with (uniformly, by indifference) and the block length, as flat
+    arrays.  Off the interior every block is the held ticket alone."""
     grid = game.lattice
     interior, _, nbr, _ = grid.indexing()
     n = game.n_tickets
     cont = values.v[nbr].sum(axis=1) / (2.0 * grid.dimension) - np.asarray(game.costs)
     pooled = isotonic_project_batch(cont, np.ones(n))
-    m = len(interior)
-    block_start = np.zeros((m, n), dtype=np.int64)
-    block_len = np.ones((m, n), dtype=np.int64)
     # Blocks are maximal runs of equal pooled values.
     same = np.abs(pooled[:, 1:] - pooled[:, :-1]) <= 1e-12 * np.maximum(1.0, np.abs(pooled[:, 1:]))
-    start = np.zeros((m, n), dtype=np.int64)
-    for k in range(1, n):
-        start[:, k] = np.where(same[:, k - 1], start[:, k - 1], k)
-    for k in range(n - 1, -1, -1):
-        if k == n - 1:
-            end = np.full(m, n, dtype=np.int64)
-        else:
-            end = np.where(same[:, k], end, k + 1)
-        block_start[:, k] = start[:, k]
-        block_len[:, k] = end - start[:, k]
-    full_start = np.zeros((grid.n_nodes, n), dtype=np.int64)
-    full_len = np.ones((grid.n_nodes, n), dtype=np.int64)
-    full_start[interior] = block_start
-    full_len[interior] = block_len
-    return full_start, full_len
+    k = np.arange(n)
+    start = np.tile(k, (grid.n_nodes, 1))
+    end = start + 1
+    start[interior, 1:] = np.maximum.accumulate(np.where(same, 0, k[1:]), axis=1)
+    end[interior, :-1] = np.minimum.accumulate(np.where(same, n, k[1:])[:, ::-1], axis=1)[:, ::-1]
+    return (np.arange(grid.n_nodes)[:, None] * n + start).ravel(), (end - start).ravel()
 
 
-def monte_carlo_eval(game: GameSpec, values: ValueTable, start_node, ticket, n_walks, seed):
-    """Simulate the greedy exchange policy; returns (mean payoff, standard error).
+def monte_carlo_eval(game: GameSpec, values: ValueTable, start_node, tickets, n_walks, seed):
+    """Simulate the greedy exchange policy from the flat interior node
+    ``start_node`` holding each of ``tickets`` (1-based); returns one
+    (mean payoff, standard error) per ticket, in the order given.
 
-    ``start_node`` is a flat interior node index, ``ticket`` is 1-based.
     Within a pooled indifference block the walker takes a uniformly random
     ticket of the block; per round it pays the held ticket's cost, moves to
     a uniform random neighbor, and collects the exit payoff on the boundary.
+    The moves do not depend on the ticket, so one walk carries every ticket
+    on the same draws and gives each the result of a walk holding it alone.
     """
     grid = game.lattice
     n = game.n_tickets
     interior, boundary, nbr, _ = grid.indexing()
-    if not 1 <= ticket <= n:
-        raise ValueError(f"ticket {ticket} out of range")
+    distinct = sorted(set(tickets))
+    if not all(1 <= t <= n for t in distinct):
+        raise ValueError(f"tickets {list(tickets)} out of range")
     role = grid.role.ravel()
     if role[start_node] != 0:
         raise ValueError("start node must be interior")
+    if not distinct:
+        return []
     block_start, block_len = _exchange_policy(game, values)
-    nbr_full = np.zeros((grid.n_nodes, nbr.shape[1]), dtype=np.int64)
-    nbr_full[interior] = nbr
-    phi_full = np.zeros((grid.n_nodes, n))
-    phi_full[boundary] = game.payoffs
-    costs = np.asarray(game.costs)
     degree = nbr.shape[1]
+    # Cells node * N + ticket.  Boundary cells move to themselves and cost
+    # nothing, so a walker that has exited stays exactly as it is.
+    to = np.tile(np.arange(grid.n_nodes), (degree, 1))
+    to[:, interior] = nbr.T
+    move = (to[:, :, None] * n + np.arange(n)).ravel()  # direction-major
+    cost = np.where(role[:, None] == 0, game.costs, 0.0).ravel()
+    phi = np.zeros((grid.n_nodes, n))
+    phi[boundary] = game.payoffs
+    on_exit = np.repeat(role == BOUNDARY, n)
 
-    pos = np.full(n_walks, start_node, dtype=np.int64)
-    tick = np.full(n_walks, ticket - 1, dtype=np.int64)
-    acc = np.zeros(n_walks)
-    payoff = np.zeros(n_walks)
-    alive = np.arange(n_walks, dtype=np.int64)
+    cells = np.repeat(start_node * n + np.array(distinct) - 1, n_walks).reshape(-1, n_walks)
+    acc = np.zeros(cells.shape)
+    walks = np.arange(n_walks)
+    live = n_walks
     max_steps = int(400 * (grid.diameter() / grid.h) ** 2) + 100000
     step = 0
-    while len(alive):
-        if step > max_steps:
-            raise NotConverged(f"{len(alive)} walks still active after {max_steps} steps")
-        u_ex = _u01(seed, alive, step, 0)
-        bs = block_start[pos[alive], tick[alive]]
-        bl = block_len[pos[alive], tick[alive]]
-        new_tick = bs + np.minimum((u_ex * bl).astype(np.int64), bl - 1)
-        tick[alive] = new_tick
-        acc[alive] -= costs[new_tick]
-        u_mv = _u01(seed, alive, step, 1)
-        direction = np.minimum((u_mv * degree).astype(np.int64), degree - 1)
-        pos[alive] = nbr_full[pos[alive], direction]
-        exited = role[pos[alive]] == BOUNDARY
-        done = alive[exited]
-        payoff[done] = acc[done] + phi_full[pos[done], tick[done]]
-        alive = alive[~exited]
+    while live:
+        if step % 4 == 0 or step > max_steps:
+            # Every 4th step, once 1/8 of the walkers have exited, add their
+            # payoffs and drop them: cheaper than compacting at every exit.
+            done = on_exit[cells[0, :live]]
+            n_done = int(np.count_nonzero(done))
+            if step > max_steps and n_done < live:
+                raise NotConverged(f"{live - n_done} walks still active after {max_steps} steps")
+            if 8 * n_done >= live:
+                order = np.argsort(done, kind="stable")
+                walks[:live] = walks[order]
+                for c, a in zip(cells, acc):
+                    c[:live] = c[order]
+                    a[:live] = a[order]
+                    a[live - n_done : live] += phi.ravel()[c[live - n_done : live]]
+                live -= n_done
+                if not live:
+                    break
+        # Draws are at most 1 - 2^-53, so u * k truncates to at most k - 1.
+        u = _u01(seed, walks[:live], step, 0)
+        to_dir = (_u01(seed, walks[:live], step, 1) * degree).astype(np.intp) * len(cost)
+        for c, a in zip(cells[:, :live], acc[:, :live]):
+            c[:] = block_start[c] + (u * block_len[c]).astype(np.intp)
+            a -= cost[c]
+            c[:] = move[c + to_dir]
         step += 1
-    mean = float(payoff.mean())
-    se = float(payoff.std(ddof=1) / np.sqrt(n_walks)) if n_walks > 1 else 0.0
-    return mean, se
+    payoff = np.empty_like(acc)
+    payoff[:, walks] = acc
+    est = {t: (float(p.mean()), float(p.std(ddof=1) / np.sqrt(n_walks)) if n_walks > 1 else 0.0)
+           for t, p in zip(distinct, payoff)}
+    return [est[t] for t in tickets]

@@ -83,6 +83,8 @@ class Grid:
         ys = y0 + h * np.arange(n)
         dist = np.hypot(xs[:, None] - cx, ys[None, :] - cy)
         inside = dist < radius
+        if inside[[0, -1]].any() or inside[:, [0, -1]].any():
+            raise ValueError(f"disk at ({cx}, {cy}) of radius {radius} is not resolved at h={h}")
         role = np.full((n, n), INACTIVE, dtype=np.int8)
         role[inside] = INTERIOR
         # Cut nodes: outside neighbors of interior nodes carry Dirichlet data.
@@ -138,7 +140,7 @@ class Grid:
 
 def _count(lo, hi, h):
     n = (hi - lo) / h
-    if abs(n - round(n)) > 1e-9:
+    if not np.isfinite(n) or abs(n - round(n)) > 1e-9:
         raise ValueError(f"extent {hi - lo} is not a multiple of h={h}")
     return int(round(n)) + 1
 

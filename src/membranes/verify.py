@@ -185,7 +185,7 @@ def _suite_game():
     kkt = solver2d.residual(solver2d.GridSolution2D(grid, spec, vt.v, game.payoffs)).kkt_residual
     rows.append(("Bellman table satisfies KKT (residual <= 1e-8)", kkt <= 1e-8, f"kkt {kkt:.1e}"))
     probe = itr[len(itr) // 2]
-    mean, se = gamesim.monte_carlo_eval(game, vt, probe, 1, 20000, seed=123)
+    [(mean, se)] = gamesim.monte_carlo_eval(game, vt, probe, [1], 20000, seed=123)
     gap = abs(mean - vt.v[probe, 0])
     rows.append(("Monte Carlo within 3 SE of Bellman", gap <= 3 * se + 1e-12, f"gap {gap:.2e}, se {se:.2e}"))
     return rows

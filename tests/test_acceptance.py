@@ -386,12 +386,14 @@ def test_criterion_13_game_pde_equivalence(game_setup):
     gaps = []
     for i, node in enumerate(probes):
         ticket = 1 + i % 3
-        mean, se = gamesim.monte_carlo_eval(game, table, int(node), ticket, 100000, seed=77 + i)
+        [(mean, se)] = gamesim.monte_carlo_eval(
+            game, table, int(node), [ticket], 100000, seed=77 + i
+        )
         gap = abs(mean - table.v[node, ticket - 1])
         gaps.append(gap / max(se, 1e-300))
         mc_ok &= gap <= 3 * se + 1e-12
-    rerun = gamesim.monte_carlo_eval(game, table, int(probes[0]), 1, 100000, seed=77)
-    first = gamesim.monte_carlo_eval(game, table, int(probes[0]), 1, 100000, seed=77)
+    rerun = gamesim.monte_carlo_eval(game, table, int(probes[0]), [1], 100000, seed=77)
+    first = gamesim.monte_carlo_eval(game, table, int(probes[0]), [1], 100000, seed=77)
     bit_identical = rerun == first
 
     ok = rep.kkt_residual < 1e-8 and match < 1e-8 and mc_ok and bit_identical

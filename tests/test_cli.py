@@ -1,11 +1,15 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import membranes
 from membranes import cli
+from membranes.errors import ScenarioError
 
 
 def write_scenario(tmp_path, name, obj):
@@ -31,6 +35,19 @@ GAME = {
     "boundary": {"kind": "cone", "pattern": "L", "shift": [0.5, 0.5]},
     "probes": [[4, 4]],
     "n_walks": 100,
+}
+
+
+SMALL_GAME = {
+    "pipeline": "game",
+    "problem": PROBLEM2,
+    "domain": {"kind": "rectangle", "x0": 0, "x1": 1, "y0": 0, "y1": 1},
+    "h": 1 / 8,
+    "boundary": {"kind": "cone", "pattern": "L", "angle": 0.2, "shift": [0.5, 0.5]},
+    "probes": [[4, 4]],
+    "tickets": [1, 2],
+    "n_walks": 2000,
+    "seed": 7,
 }
 
 
@@ -171,25 +188,14 @@ class TestRun:
         assert manifest["tolerances"] == {"bellman_tol": 1e-12}
 
     def test_reproducible_outputs(self, tmp_path):
-        scen = write_scenario(
-            tmp_path,
-            "game.json",
-            {
-                "pipeline": "game",
-                "problem": PROBLEM2,
-                "domain": {"kind": "rectangle", "x0": 0, "x1": 1, "y0": 0, "y1": 1},
-                "h": 1 / 8,
-                "boundary": {"kind": "cone", "pattern": "L", "angle": 0.2, "shift": [0.5, 0.5]},
-                "probes": [[4, 4]],
-                "tickets": [1, 2],
-                "n_walks": 2000,
-                "seed": 7,
-            },
-        )
+        scen = write_scenario(tmp_path, "game.json", SMALL_GAME)
         out1, out2 = tmp_path / "g1", tmp_path / "g2"
         assert cli.run(scen, out1) == 0
         assert cli.run(scen, out2) == 0
         assert (out1 / "game.csv").read_bytes() == (out2 / "game.csv").read_bytes()
+        # The digest of the per-ticket walks that one shared walk replaced.
+        digest = hashlib.sha256((out1 / "game.csv").read_bytes()).hexdigest()
+        assert digest == "69c56331301fd954c314c991e5084898a0d74cd64b15e6e94972a1fab7933dcf"
         records = json.loads((out1 / "game.json").read_text())
         for rec in records:
             assert abs(rec["mean"] - rec["bellman"]) <= 4 * rec["se"] + 1e-12
@@ -325,6 +331,49 @@ class TestMain:
         assert not out.exists()
         assert f"scenario error at {pointer}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "domain",
+        [{"kind": "rectangle", "x0": -1e308, "x1": 1e308, "y0": 0, "y1": 1},
+         {"kind": "disk", "center": [0, 0], "radius": 1e308}],
+        ids=["rectangle", "disk"],
+    )
+    def test_main_overflowing_extent_exit_2_without_outputs(self, tmp_path, capsys, domain):
+        scen = write_scenario(tmp_path, "s.json", dict(SOLVE, domain=domain))
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "scenario error at /h:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, seed", [("scenario", -1), ("flag", -1), ("scenario", 2**64)],
+        ids=["scenario-negative", "flag-negative", "scenario-2^64"],
+    )
+    def test_game_takes_any_integer_seed(self, tmp_path, where, seed):
+        scenario = dict(SMALL_GAME, n_walks=200)
+        argv = ["game", "--out", str(tmp_path / "o")]
+        if where == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            scenario["seed"] = seed
+        argv += ["--scenario", str(write_scenario(tmp_path, "g.json", scenario))]
+        assert cli.main(argv) == 0
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["seed"] == seed
+
+    def test_game_without_tickets(self, tmp_path):
+        scen = write_scenario(tmp_path, "g.json", dict(SMALL_GAME, tickets=[]))
+        assert cli.main(["game", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "game.csv").read_text() == "node,ticket,bellman,mean,se\n"
+
+    def test_game_seed_is_taken_mod_2_64(self, tmp_path):
+        csv = {}
+        for seed in (-1, 2**64 - 1):
+            scenario = dict(SMALL_GAME, n_walks=200, seed=seed)
+            scen = write_scenario(tmp_path, f"{seed}.json", scenario)
+            out = tmp_path / str(seed)
+            assert cli.main(["game", "--scenario", str(scen), "--out", str(out)]) == 0
+            csv[seed] = (out / "game.csv").read_bytes()
+        assert csv[-1] == csv[2**64 - 1]
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_main_rejects_bad_tol_without_outputs(self, tmp_path, capsys, tol):
         scen = write_scenario(tmp_path, "s.json", SOLVE)
@@ -344,3 +393,75 @@ class TestMain:
         out = tmp_path / "o"
         assert cli.main(["solve", "--scenario", str(scen), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+# Any JSON value, with the schema's own keys and words mixed into the objects.
+_WORDS = st.sampled_from(
+    ["pipeline", "problem", "n", "weights", "forces", "domain", "kind", "h", "boundary",
+     "pattern", "center", "radii", "probes", "tickets", "n_walks", "seed", "series",
+     "game", "solve", "rect", "rectangle", "disk", "interval", "cone", "profile", "L"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | _WORDS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_WORDS | st.text(max_size=3), inner, max_size=6),
+    max_leaves=25,
+)
+
+# Schema-shaped scenarios whose values are mostly right.  Extents and h lie
+# in [1/16, 4] or are 1e-300 or 1e308, so a lattice has at most a few
+# thousand nodes or a node count that collapses to one or overflows.
+_NUM = st.integers(-3, 3) | st.floats(-3, 3) | st.sampled_from([1e308, -1e308, 1e-300])
+_POS = st.sampled_from([1 / 16, 1 / 8, 0.25, 0.3, 0.5, 1.0, 1e-300, 1e308]) | st.floats(0.0625, 4)
+
+
+@st.composite
+def _scenarios(draw):
+    n = draw(st.integers(1, 4))
+    forces = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n, unique=True))
+    lo = draw(_NUM)
+    scenario = {
+        "pipeline": draw(st.sampled_from(cli.PIPELINES)),
+        "problem": {"n": n, "weights": draw(st.lists(_POS, min_size=n, max_size=n)),
+                    "forces": sorted(forces, reverse=True)},
+        "domain": draw(st.sampled_from([
+            {"kind": "interval", "lo": lo, "hi": lo + draw(_POS)},
+            {"kind": "rectangle", "x0": lo, "x1": lo + draw(_POS), "y0": lo, "y1": lo + draw(_POS)},
+            {"kind": "disk", "center": [draw(_NUM), draw(_NUM)], "radius": draw(_POS)},
+        ])),
+        "h": draw(_POS),
+        "boundary": {"kind": draw(st.sampled_from(["cone", "profile"])),
+                     "pattern": draw(st.text("LRX", max_size=4)),
+                     "angle": draw(_NUM),
+                     "b": draw(st.lists(_NUM, max_size=8)),
+                     "shift": draw(st.lists(_NUM, max_size=3))},
+        "center": draw(st.lists(_NUM, max_size=3)),
+        "radii": draw(st.lists(_POS, max_size=3)),
+        "probes": draw(st.lists(st.lists(st.integers(-2, 40), max_size=3), max_size=3)),
+        "tickets": draw(st.lists(st.integers(1, 5), max_size=3)),
+        "n_walks": draw(st.integers(1, 10)),
+        "seed": draw(st.integers()),
+        "series": draw(st.lists(st.lists(_POS, min_size=2, max_size=2), max_size=3)),
+    }
+    for key in draw(st.sets(st.sampled_from(["angle", "b", "shift"]))):
+        del scenario["boundary"][key]
+    for key in draw(st.sets(st.sampled_from(["boundary", "center", "radii", "tickets", "series"]))):
+        del scenario[key]
+    return scenario
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(obj=_JSON | st.dictionaries(_WORDS, _JSON, max_size=8))
+    def test_any_json_value_gives_an_error_list(self, obj):
+        errors = cli.validate_scenario(obj)
+        assert isinstance(errors, list) and all(isinstance(e, str) for e in errors)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(scenario=_scenarios())
+    def test_valid_scenario_is_prepared_or_rejected(self, scenario):
+        assume(cli.validate_scenario(scenario) == [])
+        try:
+            cli._prepare(scenario)
+        except ScenarioError as exc:
+            assert exc.messages

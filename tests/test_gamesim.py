@@ -7,7 +7,7 @@ from membranes.errors import EmptyGrid, NonFiniteData, NotConverged, UnorderedBo
 from membranes.exact1d import random_branch_vector, solution_for
 from membranes.problem import ProblemSpec, normalize
 from membranes.projection import isotonic_project_batch
-from membranes.solver2d import Grid
+from membranes.solver2d import BOUNDARY, Grid
 
 
 def tilted_cone_data(spec, angle=0.25, shift=0.5):
@@ -36,6 +36,72 @@ def jacobi_bellman(game, tol=1e-14, max_iters=100000):
         if change <= tol * max(1.0, float(np.nanmax(np.abs(v)))):
             return v
     raise AssertionError(f"value iteration still moves by {change:.1e}")
+
+
+def per_ticket_walks(game, values, start_node, ticket, n_walks, seed):
+    """Reference for gamesim.monte_carlo_eval: one walk per ticket, the
+    walkers gathered through the index array of those still walking at every
+    step, and the exchange blocks built ticket by ticket."""
+    grid = game.lattice
+    n = game.n_tickets
+    interior, boundary, nbr, _ = grid.indexing()
+    cont = values.v[nbr].sum(axis=1) / (2.0 * grid.dimension) - np.asarray(game.costs)
+    pooled = isotonic_project_batch(cont, np.ones(n))
+    same = np.abs(pooled[:, 1:] - pooled[:, :-1]) <= 1e-12 * np.maximum(1.0, np.abs(pooled[:, 1:]))
+    block_start = np.zeros((grid.n_nodes, n), dtype=np.int64)
+    block_len = np.ones((grid.n_nodes, n), dtype=np.int64)
+    start = np.zeros((len(interior), n), dtype=np.int64)
+    for k in range(1, n):
+        start[:, k] = np.where(same[:, k - 1], start[:, k - 1], k)
+    end = np.full(len(interior), n, dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            end = np.where(same[:, k], end, k + 1)
+        block_start[interior, k] = start[:, k]
+        block_len[interior, k] = end - start[:, k]
+    nbr_full = np.zeros((grid.n_nodes, nbr.shape[1]), dtype=np.int64)
+    nbr_full[interior] = nbr
+    phi_full = np.zeros((grid.n_nodes, n))
+    phi_full[boundary] = game.payoffs
+    costs = np.asarray(game.costs)
+    degree = nbr.shape[1]
+    role = grid.role.ravel()
+
+    pos = np.full(n_walks, start_node, dtype=np.int64)
+    tick = np.full(n_walks, ticket - 1, dtype=np.int64)
+    acc = np.zeros(n_walks)
+    payoff = np.zeros(n_walks)
+    alive = np.arange(n_walks, dtype=np.int64)
+    step = 0
+    while len(alive):
+        u_ex = gamesim._u01(seed, alive, step, 0)
+        bs = block_start[pos[alive], tick[alive]]
+        bl = block_len[pos[alive], tick[alive]]
+        new_tick = bs + np.minimum((u_ex * bl).astype(np.int64), bl - 1)
+        tick[alive] = new_tick
+        acc[alive] -= costs[new_tick]
+        u_mv = gamesim._u01(seed, alive, step, 1)
+        direction = np.minimum((u_mv * degree).astype(np.int64), degree - 1)
+        pos[alive] = nbr_full[pos[alive], direction]
+        exited = role[pos[alive]] == BOUNDARY
+        done = alive[exited]
+        payoff[done] = acc[done] + phi_full[pos[done], tick[done]]
+        alive = alive[~exited]
+        step += 1
+    se = float(payoff.std(ddof=1) / np.sqrt(n_walks)) if n_walks > 1 else 0.0
+    return float(payoff.mean()), se
+
+
+def splitmix_u01(seed, walk, step, channel):
+    """Reference for gamesim._u01 on Python integers."""
+    def mix(z):
+        z = (z + 0x9E3779B97F4A7C15) % 2**64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    z = mix(seed % 2**64 ^ mix(walk ^ mix(step * 4 + channel)))
+    return (z >> 11) / 2**53
 
 
 def hand_picked_game():
@@ -179,7 +245,7 @@ class TestMonteCarlo:
         game = gamesim.GameSpec(grid, (0.0,), phi)
         vt = gamesim.bellman_solve(game, tol=1e-14)
         start = itr[len(itr) // 2]
-        mean, se = gamesim.monte_carlo_eval(game, vt, start, 1, 30000, seed=42)
+        [(mean, se)] = gamesim.monte_carlo_eval(game, vt, start, [1], 30000, seed=42)
         assert abs(mean - vt.v[start, 0]) <= 3 * se
 
     def test_policy_evaluation_consistency(self, spec3_unit):
@@ -189,8 +255,8 @@ class TestMonteCarlo:
         itr = grid.indexing()[0]
         rng = np.random.default_rng(0)
         for node in rng.choice(itr, 3, replace=False):
-            for ticket in (1, 3):
-                mean, se = gamesim.monte_carlo_eval(game, vt, int(node), ticket, 20000, seed=11)
+            estimates = gamesim.monte_carlo_eval(game, vt, int(node), [1, 3], 20000, seed=11)
+            for ticket, (mean, se) in zip((1, 3), estimates):
                 assert abs(mean - vt.v[node, ticket - 1]) <= 3 * se + 1e-12
 
     def test_seed_determinism(self, spec2):
@@ -198,8 +264,81 @@ class TestMonteCarlo:
         game = gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2))
         vt = gamesim.bellman_solve(game, tol=1e-14)
         start = grid.indexing()[0][10]
-        a = gamesim.monte_carlo_eval(game, vt, start, 2, 5000, seed=99)
-        b = gamesim.monte_carlo_eval(game, vt, start, 2, 5000, seed=99)
+        a = gamesim.monte_carlo_eval(game, vt, start, [2], 5000, seed=99)
+        b = gamesim.monte_carlo_eval(game, vt, start, [2], 5000, seed=99)
         assert a == b
-        c = gamesim.monte_carlo_eval(game, vt, start, 2, 5000, seed=100)
+        c = gamesim.monte_carlo_eval(game, vt, start, [2], 5000, seed=100)
         assert c != a
+
+    def test_bad_tickets_and_start_rejected(self, spec2):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        game = gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2))
+        vt = gamesim.bellman_solve(game)
+        itr, bnd, _, _ = grid.indexing()
+        for tickets in ([0], [1, 3]):
+            with pytest.raises(ValueError):
+                gamesim.monte_carlo_eval(game, vt, int(itr[0]), tickets, 10, seed=1)
+        with pytest.raises(ValueError):
+            gamesim.monte_carlo_eval(game, vt, int(bnd[0]), [1], 10, seed=1)
+
+
+class TestSharedWalks:
+    """One walk carrying every ticket gives each ticket the result of the
+    per-ticket walks, bit for bit."""
+
+    def check(self, game, nodes, n_walks=3000, seed=5):
+        vt = gamesim.bellman_solve(game)
+        tickets = list(range(1, game.n_tickets + 1))
+        for node in nodes:
+            got = gamesim.monte_carlo_eval(game, vt, int(node), tickets, n_walks, seed)
+            ref = [per_ticket_walks(game, vt, int(node), t, n_walks, seed) for t in tickets]
+            assert got == ref
+
+    def test_n1_rectangle(self):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        pts = grid.coords()[grid.indexing()[1]]
+        game = gamesim.GameSpec(grid, (0.01,), (pts[:, :1] + pts[:, 1:]) ** 2)
+        self.check(game, grid.indexing()[0][[3, 20]])
+
+    def test_n2_rectangle(self, spec2):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        game = gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2))
+        self.check(game, grid.indexing()[0][[5, 24]])
+
+    def test_n3_rectangle(self, spec3_unit):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        game = gamesim.membrane_game(spec3_unit, grid, tilted_cone_data(spec3_unit))
+        self.check(game, grid.indexing()[0][[0, 17, 40]])
+
+    def test_interval_lattice(self, spec3_unit):
+        grid = Grid.interval(-1, 1, 1 / 16)
+        cone = Cone1D(spec3_unit, "LL")
+        game = gamesim.membrane_game(spec3_unit, grid, lambda pts: cone.eval(pts[:, 0] - 0.1))
+        self.check(game, [4, 16, 27])
+
+    def test_hand_picked_pooling(self):
+        game = hand_picked_game()
+        vt = gamesim.bellman_solve(game)
+        start, length = gamesim._exchange_policy(game, vt)
+        pooled = np.flatnonzero((length.reshape(-1, 3) > 1).any(axis=1))
+        assert len(pooled) >= 0.3 * len(game.lattice.indexing()[0])
+        self.check(game, [pooled[len(pooled) // 2], game.lattice.indexing()[0][0]], n_walks=1000)
+
+    def test_ticket_subsets_order_and_duplicates(self, spec3_unit):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        game = gamesim.membrane_game(spec3_unit, grid, tilted_cone_data(spec3_unit))
+        vt = gamesim.bellman_solve(game)
+        node = int(grid.indexing()[0][17])
+        every = gamesim.monte_carlo_eval(game, vt, node, [1, 2, 3], 2000, seed=3)
+        for k in (1, 2, 3):
+            assert gamesim.monte_carlo_eval(game, vt, node, [k], 2000, seed=3) == [every[k - 1]]
+        mixed = gamesim.monte_carlo_eval(game, vt, node, [3, 1, 3, 2], 2000, seed=3)
+        assert mixed == [every[2], every[0], every[2], every[1]]
+
+    def test_u01_is_splitmix64_of_the_counter(self):
+        walks = np.array([0, 1, 7, 25000, 2**40 + 3])
+        for seed in (0, 1001, 2**64 - 1, -1, 2**64, -(2**70) + 5):
+            for step, channel in ((0, 0), (3, 1), (12345, 0)):
+                got = gamesim._u01(seed, walks, step, channel)
+                want = [splitmix_u01(seed, int(w), step, channel) for w in walks]
+                assert got.tolist() == want
