@@ -21,6 +21,7 @@ from .errors import (
 from .exact1d import (
     ApproximateProfile2D,
     BranchVector,
+    _rotated_coords,
     branch_space_basis,
     zero_branch_vector,
 )
@@ -353,6 +354,9 @@ class FitResult:
         )
 
 
+_MIRROR = str.maketrans("LR", "RL")
+
+
 def _ball_samples(sol, center, radius):
     coords = sol.grid.coords()
     active = sol.grid.role.ravel() != INACTIVE
@@ -361,11 +365,6 @@ def _ball_samples(sol, center, radius):
     if not sel.any():
         raise BallOutsideDomain("no active nodes in the fit ball")
     return rel[sel], sol.u[sel]
-
-
-def _profile_eps(cone, b, theta, rel, uvals, radius):
-    prof = ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta)
-    return float(np.abs(uvals - prof.eval(rel)).max()) / radius**2
 
 
 def _lsq_branch(cone, theta, rel, uvals, resid=None):
@@ -385,9 +384,7 @@ def _lsq_branch(cone, theta, rel, uvals, resid=None):
     k = basis.shape[1]
     if k == 0:
         return zero_branch_vector(cone)
-    ct, st = np.cos(theta), np.sin(theta)
-    y1 = rel @ np.array([ct, st])
-    y2 = rel @ np.array([-st, ct])
+    y1, y2 = _rotated_coords(rel, theta)
     target = uvals - cone.eval(y2) if resid is None else resid
     n = cone.n
     s = y1 * y2
@@ -401,17 +398,19 @@ def _lsq_branch(cone, theta, rel, uvals, resid=None):
     return BranchVector(cone, basis @ c)
 
 
-def _angle_search(misfit_at, n_coarse, angle_tol):
-    """Minimize ``misfit_at(theta) -> (misfit, payload)`` over the angle: a
-    coarse scan of n_coarse angles, then golden-section refinement around
-    the best one.  Returns the winning (theta, payload)."""
-    best = (np.inf, 0.0, None)
-    for theta in 2.0 * np.pi * np.arange(n_coarse) / n_coarse:
-        e, payload = misfit_at(theta)
-        if e < best[0]:
-            best = (e, theta, payload)
+def _angle_search(misfit_at, coarse_at, n_coarse, angle_tol):
+    """Minimize ``misfit_at(theta) -> (misfit, payload)`` over the angle.
+
+    A coarse scan of n_coarse angles ranks them by ``coarse_at``, a cheaper
+    stand-in with the same signature; the winner is re-scored with
+    ``misfit_at`` and refined by golden-section steps on ``misfit_at``
+    around it.  Only ``misfit_at`` values are compared at the end.  Returns
+    the winning (theta, payload)."""
+    thetas = 2.0 * np.pi * np.arange(n_coarse) / n_coarse
+    theta0 = thetas[int(np.argmin([coarse_at(theta)[0] for theta in thetas]))]
+    e0, p0 = misfit_at(theta0)
     step = 2.0 * np.pi / n_coarse
-    lo, hi = best[1] - step, best[1] + step
+    lo, hi = theta0 - step, theta0 + step
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
     f1, p1 = misfit_at(x1)
@@ -425,28 +424,40 @@ def _angle_search(misfit_at, n_coarse, angle_tol):
             lo, x1, f1, p1 = x1, x2, f2, p2
             x2 = lo + gr * (hi - lo)
             f2, p2 = misfit_at(x2)
-    return min([(f1, x1, p1), (f2, x2, p2), best], key=lambda t: t[0])[1:]
+    return min([(f1, x1, p1), (f2, x2, p2), (e0, theta0, p0)], key=lambda t: t[0])[1:]
 
 
 def _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol):
     # The angle search minimizes the RMS misfit, which is robust to
     # perturbations; the reported epsilon is the sup misfit of the result.
+    # The coarse scan ranks angles by the misfit of the linearized profile
+    # cone(y2) + y1 y2 b_side(y2) that _lsq_branch fits, which needs no
+    # exact profile evaluation.
+    def linear_rms_at(theta):
+        b = _lsq_branch(cone, theta, rel, uvals)
+        y1, y2 = _rotated_coords(rel, theta)
+        b_side = np.where((y2 >= 0)[:, None], b.plus, b.minus)
+        lin = cone.eval(y2) + (y1 * y2)[:, None] * b_side
+        return float(np.sqrt(np.mean((uvals - lin) ** 2))), None
+
+    def resid_at(theta, b):
+        return uvals - ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta).eval(rel)
+
     def rms_at(theta):
         b = _lsq_branch(cone, theta, rel, uvals)
-        prof = ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta)
-        return float(np.sqrt(np.mean((uvals - prof.eval(rel)) ** 2))), b
+        resid = resid_at(theta, b)
+        return float(np.sqrt(np.mean(resid**2))), (b, resid)
 
-    theta, b = _angle_search(rms_at, n_coarse, angle_tol)
-    e = _profile_eps(cone, b, theta, rel, uvals, radius)
+    theta, (b, resid) = _angle_search(rms_at, linear_rms_at, n_coarse, angle_tol)
+    e = float(np.abs(resid).max()) / radius**2
     # Sup-norm polish: correct b against the exact profile a few times.
     for _ in range(3):
-        prof = ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta)
-        resid = uvals - prof.eval(rel)
         db = _lsq_branch(cone, theta, rel, uvals, resid=resid)
         b_try = BranchVector(cone, b.values + db.values)
-        e_try = _profile_eps(cone, b_try, theta, rel, uvals, radius)
+        resid_try = resid_at(theta, b_try)
+        e_try = float(np.abs(resid_try).max()) / radius**2
         if e_try < e:
-            e, b = e_try, b_try
+            e, b, resid = e_try, b_try, resid_try
         else:
             break
     theta = float(np.mod(theta, 2.0 * np.pi))
@@ -458,7 +469,7 @@ def _fit_degenerate(cone, rel, uvals, radius, n_coarse, angle_tol):
     def rms_at(theta):
         return float(np.sqrt(np.mean((uvals - cone.eval_2d(rel, theta)) ** 2))), None
 
-    theta, _ = _angle_search(rms_at, n_coarse, angle_tol)
+    theta, _ = _angle_search(rms_at, rms_at, n_coarse, angle_tol)
     e = float(np.abs(uvals - cone.eval_2d(rel, theta)).max()) / radius**2
     return FitResult(cone.id, float(np.mod(theta, 2 * np.pi)), None, e, radius, np.inf, degenerate=True)
 
@@ -467,18 +478,26 @@ def fit_cone(sol: GridSolution2D, center, radius, catalogue=None, n_coarse=64, a
     """Best sup-norm fit of the profile family over the cone catalogue.
 
     Connected cones are fitted over rotation and branch vector: at each
-    angle of a coarse scan and its golden-section refinement the branch
-    vector solves the linearized least squares through its k x k normal
-    equations (``_lsq_branch``), the angle minimizes the RMS misfit of the
-    exact profile, and the winner is polished against the exact profile in
-    the sup norm.  Degenerate cones are fitted over rotation only.
-    Deterministic given the search schedule.
+    angle the branch vector solves the linearized least squares through its
+    k x k normal equations (``_lsq_branch``).  A coarse scan ranks the
+    angles by the RMS misfit of that linearized profile; the winner is
+    re-scored and refined by golden-section steps on the RMS misfit of the
+    exact profile, then polished against the exact profile in the sup norm.
+    Degenerate cones are fitted over rotation only.  A cone whose L<->R
+    swap came earlier in the catalogue is skipped: it is the same field
+    turned by pi, and the angle search covers [0, 2 pi), so each mirror
+    pair is fitted once and reported as its first member in catalogue
+    order.  Deterministic given the search schedule.
     """
     rel, uvals = _ball_samples(sol, center, radius)
     if catalogue is None:
         catalogue = enumerate_cones(sol.spec)
     best = None
+    fitted = set()
     for cone in catalogue:
+        if cone.pattern.translate(_MIRROR) in fitted:
+            continue
+        fitted.add(cone.pattern)
         if cone.connected:
             res = _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol)
         else:

@@ -178,10 +178,14 @@ def _prepare(scenario):
         for i, ticket in enumerate(scenario.get("tickets", [1])):
             if ticket > n:
                 errors.append(f"/tickets/{i}: ticket {ticket} is not in [1, {n}]")
+        first = {}
         for i, probe in enumerate(scenario["probes"]):
             inside = len(probe) == d and all(0 <= p < m for p, m in zip(probe, grid.shape))
             if not inside or grid.role[tuple(probe)] != solver2d.INTERIOR:
                 errors.append(f"/probes/{i}: {probe} is not an interior node of the lattice")
+            elif tuple(probe) in first:
+                errors.append(f"/probes/{i}: {probe} repeats /probes/{first[tuple(probe)]}")
+            first.setdefault(tuple(probe), i)
     if errors:
         raise ScenarioError(errors)
     data = _at("/boundary", _build_boundary, cone, boundary, d)

@@ -41,6 +41,8 @@ class ProblemSpec:
             raise NonFiniteData(f"weights and forces must be finite, got {w} and {f}")
         if any(x <= 0.0 for x in w):
             raise InvalidWeight(f"weights must be strictly positive, got {w}")
+        if not np.isfinite(sum(w)):
+            raise NonFiniteData(f"the weights must have a finite sum, got {w}")
         if any(f[i] <= f[i + 1] for i in range(n - 1)):
             raise NondegeneracyViolation(f"forces must be strictly decreasing, got {f}")
         object.__setattr__(self, "weights", w)
@@ -56,7 +58,9 @@ class ProblemSpec:
 
     @property
     def is_normalized(self):
-        return abs(float(self.w @ self.f)) <= EQ_TOL * max(1.0, float(np.abs(self.f).max()))
+        with np.errstate(over="ignore"):  # an overflowing w @ f reads inf, not a warning
+            wf = float(self.w @ self.f)
+        return abs(wf) <= EQ_TOL * max(1.0, float(np.abs(self.f).max()))
 
     def to_json(self):
         return json.dumps(
@@ -96,9 +100,13 @@ def normalize(spec: ProblemSpec) -> ProblemSpec:
     """
     if spec.is_normalized:
         return spec
-    w, f = spec.w, spec.f
-    mean = float(w @ f) / float(w.sum())
-    return ProblemSpec(spec.n_membranes, spec.weights, tuple(f - mean))
+    with np.errstate(over="ignore"):
+        f = spec.f - float(spec.w @ spec.f) / float(spec.w.sum())
+    if not np.isfinite(f).all():
+        raise NonFiniteData(
+            f"normalizing forces {spec.forces} with weights {spec.weights} overflows"
+        )
+    return ProblemSpec(spec.n_membranes, spec.weights, tuple(f))
 
 
 def group_force(spec: ProblemSpec, group: GroupIndex) -> float:

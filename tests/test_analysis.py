@@ -362,6 +362,51 @@ class TestFitCone:
         inside = np.linalg.norm(fb.vertices, axis=1) <= 0.6
         assert dist[inside].max() <= np.sqrt(fit.epsilon) + np.sqrt(fb.tolerance) + 2 * g.h
 
+    @staticmethod
+    def profile_n3(spec3_unit, theta=2.0):
+        """An all-'L' N=3 profile rotated by theta, with a branch vector
+        orthogonal to the translation direction, on h=1/32."""
+        cone = Cone1D(spec3_unit, "LL")
+        t_hat = tau(cone).values / tau(cone).norm()
+        basis = branch_space_basis(cone)
+        b = (basis - np.outer(t_hat, t_hat @ basis)) @ np.array([0.7, -0.4])
+        b = BranchVector(cone, 0.05 * b / np.linalg.norm(b))
+        prof = ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta)
+        return field_solution(spec3_unit, Grid.rectangle(-1, 1, -1, 1, 1 / 32), prof.eval)
+
+    def test_exact_profile_evaluation_budget(self, spec3_unit, monkeypatch):
+        # The coarse angle scan runs on the linearized profile; only the
+        # re-scored winner, the golden-section steps and the polish evaluate
+        # the exact one.  A scan on the exact profile made 180 calls here.
+        from membranes import exact1d
+
+        calls = []
+        counted = lambda cone, b: calls.append(b) or solution_for(cone, b)
+        monkeypatch.setattr(exact1d, "solution_for", counted)
+        sol = self.profile_n3(spec3_unit)
+        fit = analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[Cone1D(spec3_unit, "LL")])
+        assert abs(fit.angle - 2.0) <= 2e-3
+        assert 0 < len(calls) <= 180 // 3
+
+    def test_one_fit_per_mirror_pair(self, spec3_unit, monkeypatch):
+        fitted = []
+        fit_connected = analysis._fit_connected
+        counted = lambda cone, *args: fitted.append(cone.id) or fit_connected(cone, *args)
+        monkeypatch.setattr(analysis, "_fit_connected", counted)
+        sol = self.profile_n3(spec3_unit)
+        ll, rr = Cone1D(spec3_unit, "LL"), Cone1D(spec3_unit, "RR")
+        assert analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[rr, ll]).cone_id == "RR"
+        assert fitted == ["RR"]
+        assert analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[ll, rr]).cone_id == "LL"
+
+    def test_mirror_fits_agree(self, spec3_unit):
+        sol = self.profile_n3(spec3_unit)
+        fit_l = analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[Cone1D(spec3_unit, "LL")])
+        fit_r = analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[Cone1D(spec3_unit, "RR")])
+        assert fit_l.epsilon == pytest.approx(fit_r.epsilon, rel=1e-9)
+        turn = np.angle(np.exp(1j * (fit_r.angle - fit_l.angle - np.pi)))
+        assert abs(turn) <= 1e-8
+
 
 class TestRegularPointProbe:
     def test_exact_p0(self, spec2):

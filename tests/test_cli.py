@@ -331,6 +331,28 @@ class TestMain:
         assert not out.exists()
         assert f"scenario error at {pointer}:" in capsys.readouterr().err
 
+    def test_main_rejects_repeated_probe_without_outputs(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, "g.json", dict(GAME, probes=[[4, 4], [3, 4], [4, 4]]))
+        out = tmp_path / "o"
+        assert cli.main(["game", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "scenario error at /probes/2: [4, 4] repeats /probes/0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "problem",
+        [{"n": 2, "weights": [1e308, 1e308], "forces": [2, 1]},
+         {"n": 2, "weights": [1, 1], "forces": [1.7e308, 1.6e308]}],
+        ids=["weight-sum", "weighted-force-sum"],
+    )
+    def test_main_overflowing_problem_exit_2_without_warning(self, tmp_path, capsys, problem):
+        scen = write_scenario(tmp_path, "s.json", dict(SOLVE, problem=problem))
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "scenario error at /problem:" in err and "Warning" not in err
+
     @pytest.mark.parametrize(
         "domain",
         [{"kind": "rectangle", "x0": -1e308, "x1": 1e308, "y0": 0, "y1": 1},

@@ -79,6 +79,23 @@ class TestNormalize:
         with pytest.raises(NonFiniteData):
             ProblemSpec(2, weights, forces)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weight_sum_rejected(self):
+        with pytest.raises(NonFiniteData):
+            ProblemSpec(2, (1e308, 1e308), (2, 1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "weights, forces",
+        [((1, 1), (1.7e308, 1.6e308)), ((1, 1.5), (1.7e308, -1.7e308))],
+        ids=["mean-overflows", "shift-overflows"],
+    )
+    def test_overflowing_normalization_rejected(self, weights, forces):
+        spec = ProblemSpec(2, weights, forces)
+        assert not spec.is_normalized
+        with pytest.raises(NonFiniteData):
+            normalize(spec)
+
 
 class TestGroupForce:
     def test_zero_mean_pair(self):
