@@ -25,7 +25,7 @@ from .exact1d import (
     branch_space_basis,
     zero_branch_vector,
 )
-from .solver2d import Grid, GridSolution2D, INACTIVE
+from .solver2d import Grid, GridSolution2D, INACTIVE, default_coincidence_tol
 
 # ---------------------------------------------------------------------------
 # Free boundary extraction
@@ -41,16 +41,14 @@ class FreeBoundaryCurve:
     tolerance: float
 
 
-def extract_free_boundary(sol: GridSolution2D, k, coincidence_tol=None) -> FreeBoundaryCurve:
-    """Marching-squares contour of the pair-k separation at the tolerance."""
-    from .solver2d import default_coincidence_tol
-
+def extract_free_boundary(sol: GridSolution2D, k) -> FreeBoundaryCurve:
+    """Marching-squares contour of the pair-k separation at the solution's
+    default coincidence tolerance."""
     if sol.grid.dimension != 2:
         raise ValueError("free boundary extraction requires a 2D solution")
     if not 1 <= k <= sol.n - 1:
         raise EmptyFreeBoundary(f"pair index {k} out of range for N={sol.n}")
-    if coincidence_tol is None:
-        coincidence_tol = default_coincidence_tol(sol)
+    coincidence_tol = default_coincidence_tol(sol)
     fields = sol.fields()
     diff = fields[..., k - 1] - fields[..., k]
     xs = sol.grid.origin[0] + sol.grid.h * np.arange(sol.grid.shape[0])
@@ -171,11 +169,7 @@ def weiss(sol: GridSolution2D, center, radii) -> WeissProfile:
     grid = sol.grid
     center = np.asarray(center, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
-    lo = np.asarray(grid.origin)
-    hi = lo + grid.h * (np.asarray(grid.shape) - 1)
-    rmax = radii[-1]
-    if np.any(center - rmax < lo - 1e-12) or np.any(center + rmax > hi + 1e-12):
-        raise BallOutsideDomain(f"ball of radius {rmax} leaves the stored domain")
+    check_ball_inside(grid, center, radii[-1])  # the largest ball holds the others
     if grid.dimension == 1:
         return _weiss_1d(sol, float(center[0]), radii)
     h = grid.h
@@ -189,7 +183,6 @@ def weiss(sol: GridSolution2D, center, radii) -> WeissProfile:
     xs = grid.origin[0] + h * (np.arange(grid.shape[0] - 1) + 0.5)
     ys = grid.origin[1] + h * (np.arange(grid.shape[1] - 1) + 0.5)
     cdist = np.hypot(xs[:, None] - center[0], ys[None, :] - center[1])
-    ok = np.isfinite(integrand)
     half_diag = h / np.sqrt(2.0)
     sub = (np.arange(4) + 0.5) / 4.0 - 0.5
     sx, sy = np.meshgrid(sub * h, sub * h, indexing="ij")
@@ -198,8 +191,6 @@ def weiss(sol: GridSolution2D, center, radii) -> WeissProfile:
     F = np.empty(len(radii))
     for idx, r in enumerate(radii):
         used = cdist <= r + half_diag
-        if np.any(used & ~ok):
-            raise BallOutsideDomain(f"ball of radius {r} leaves the domain")
         full = cdist <= r - half_diag
         cut = used & ~full
         vol = integrand[full].sum()
@@ -215,10 +206,32 @@ def weiss(sol: GridSolution2D, center, radii) -> WeissProfile:
         theta = 2.0 * np.pi * np.arange(ns) / ns
         pts = center + r * np.column_stack([np.cos(theta), np.sin(theta)])
         uv = sol.interp(pts)
-        if not np.all(np.isfinite(uv)):
-            raise BallOutsideDomain(f"circle of radius {r} leaves the domain")
         F[idx] = float(((uv * uv) @ w).mean() * 2.0 * np.pi * r) / r**5
     return WeissProfile(tuple(center), radii, E, F, E - F, grid_h=h)
+
+
+def check_ball_inside(grid: Grid, center, r):
+    """Raise BallOutsideDomain unless the ball of radius r about ``center``
+    lies in the stored domain and every cell it touches (cells whose center
+    is within r plus half a cell diagonal) has only active corners."""
+    center = np.asarray(center, dtype=float)
+    h = grid.h
+    lo = np.asarray(grid.origin)
+    hi = lo + h * (np.asarray(grid.shape) - 1)
+    if np.any(center - r < lo - 1e-12) or np.any(center + r > hi + 1e-12):
+        raise BallOutsideDomain(f"ball of radius {r} leaves the stored domain")
+    active = grid.role != INACTIVE
+    xs = grid.origin[0] + h * (np.arange(grid.shape[0] - 1) + 0.5)
+    if grid.dimension == 1:
+        ok = active[1:] & active[:-1]
+        used = np.abs(xs - center[0]) <= r + 0.5 * h
+    else:
+        ok = active[1:, 1:] & active[1:, :-1] & active[:-1, 1:] & active[:-1, :-1]
+        ys = grid.origin[1] + h * (np.arange(grid.shape[1] - 1) + 0.5)
+        cdist = np.hypot(xs[:, None] - center[0], ys[None, :] - center[1])
+        used = cdist <= r + h / np.sqrt(2.0)
+    if np.any(used & ~ok):
+        raise BallOutsideDomain(f"ball of radius {r} meets inactive nodes")
 
 
 def _weiss_1d(sol, center, radii):
@@ -234,8 +247,6 @@ def _weiss_1d(sol, center, radii):
     F = np.empty(len(radii))
     for idx, r in enumerate(radii):
         used = np.abs(xs - center) <= r + 0.5 * h
-        if np.any(used & ~np.isfinite(integrand)):
-            raise BallOutsideDomain(f"interval of radius {r} leaves the domain")
         full = np.abs(xs - center) <= r - 0.5 * h
         cut = used & ~full
         vol = integrand[full].sum() * h
@@ -257,11 +268,12 @@ def weiss_of_cone(cone: Cone1D):
     return float(np.pi / 8.0 * (w @ (am * (f - am) + ap * (f - ap))))
 
 
-def calibrate_weiss_slack(sol: GridSolution2D, center, radii, cone=None, safety=3.0):
+def calibrate_weiss_slack(sol: GridSolution2D, center, radii, cone=None):
     """Slack constant C_q from an exact cone evaluated on the same grid.
 
     Measures the worst quadrature deviation of W from its analytic value on
-    the cone field and returns C_q with slack(r) = C_q * h / r.
+    the cone field and returns C_q with slack(r) = C_q * h / r, with a
+    safety factor of 3.
     """
     if cone is None:
         cone = Cone1D(sol.spec, "L" * (sol.spec.n_membranes - 1))
@@ -275,7 +287,7 @@ def calibrate_weiss_slack(sol: GridSolution2D, center, radii, cone=None, safety=
     exact = weiss_of_cone(cone)
     h = sol.grid.h
     dev = np.abs(prof.W - exact) * prof.radii / h
-    return float(safety * max(dev.max(), 1e-12 / h))
+    return float(3.0 * max(dev.max(), 1e-12 / h))
 
 
 @dataclass(eq=False)
@@ -306,13 +318,13 @@ def monotonicity_check(profile: WeissProfile, c_q) -> MonotonicityVerdict:
 # Blow-up rescaling
 
 
-def blowup_rescale(sol: GridSolution2D, r, target_grid=None) -> GridSolution2D:
-    """Resample r^{-2} u(r x) onto a fixed unit-scale analysis grid."""
-    if target_grid is None:
-        if sol.grid.dimension == 2:
-            target_grid = Grid.rectangle(-1, 1, -1, 1, sol.grid.h)
-        else:
-            target_grid = Grid.interval(-1, 1, sol.grid.h)
+def blowup_rescale(sol: GridSolution2D, r) -> GridSolution2D:
+    """Resample r^{-2} u(r x) onto the unit square (or interval) at the
+    solution's grid step."""
+    if sol.grid.dimension == 2:
+        target_grid = Grid.rectangle(-1, 1, -1, 1, sol.grid.h)
+    else:
+        target_grid = Grid.interval(-1, 1, sol.grid.h)
     pts = target_grid.coords() * r
     g = sol.grid
     lo = np.asarray(g.origin)
@@ -398,24 +410,28 @@ def _lsq_branch(cone, theta, rel, uvals, resid=None):
     return BranchVector(cone, basis @ c)
 
 
-def _angle_search(misfit_at, coarse_at, n_coarse, angle_tol):
+_N_COARSE = 64  # angles of the coarse scan
+_ANGLE_TOL = 1e-4  # width of the final golden-section bracket
+
+
+def _angle_search(misfit_at, coarse_at):
     """Minimize ``misfit_at(theta) -> (misfit, payload)`` over the angle.
 
-    A coarse scan of n_coarse angles ranks them by ``coarse_at``, a cheaper
+    A coarse scan of _N_COARSE angles ranks them by ``coarse_at``, a cheaper
     stand-in with the same signature; the winner is re-scored with
     ``misfit_at`` and refined by golden-section steps on ``misfit_at``
-    around it.  Only ``misfit_at`` values are compared at the end.  Returns
-    the winning (theta, payload)."""
-    thetas = 2.0 * np.pi * np.arange(n_coarse) / n_coarse
+    around it down to _ANGLE_TOL.  Only ``misfit_at`` values are compared
+    at the end.  Returns the winning (theta, payload)."""
+    thetas = 2.0 * np.pi * np.arange(_N_COARSE) / _N_COARSE
     theta0 = thetas[int(np.argmin([coarse_at(theta)[0] for theta in thetas]))]
     e0, p0 = misfit_at(theta0)
-    step = 2.0 * np.pi / n_coarse
+    step = 2.0 * np.pi / _N_COARSE
     lo, hi = theta0 - step, theta0 + step
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
     f1, p1 = misfit_at(x1)
     f2, p2 = misfit_at(x2)
-    while hi - lo > angle_tol:
+    while hi - lo > _ANGLE_TOL:
         if f1 <= f2:
             hi, x2, f2, p2 = x2, x1, f1, p1
             x1 = hi - gr * (hi - lo)
@@ -427,7 +443,7 @@ def _angle_search(misfit_at, coarse_at, n_coarse, angle_tol):
     return min([(f1, x1, p1), (f2, x2, p2), (e0, theta0, p0)], key=lambda t: t[0])[1:]
 
 
-def _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol):
+def _fit_connected(cone, rel, uvals, radius):
     # The angle search minimizes the RMS misfit, which is robust to
     # perturbations; the reported epsilon is the sup misfit of the result.
     # The coarse scan ranks angles by the misfit of the linearized profile
@@ -448,7 +464,7 @@ def _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol):
         resid = resid_at(theta, b)
         return float(np.sqrt(np.mean(resid**2))), (b, resid)
 
-    theta, (b, resid) = _angle_search(rms_at, linear_rms_at, n_coarse, angle_tol)
+    theta, (b, resid) = _angle_search(rms_at, linear_rms_at)
     e = float(np.abs(resid).max()) / radius**2
     # Sup-norm polish: correct b against the exact profile a few times.
     for _ in range(3):
@@ -465,16 +481,16 @@ def _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol):
     return FitResult(cone.id, theta, b, e, radius, ratio, degenerate=False)
 
 
-def _fit_degenerate(cone, rel, uvals, radius, n_coarse, angle_tol):
+def _fit_degenerate(cone, rel, uvals, radius):
     def rms_at(theta):
         return float(np.sqrt(np.mean((uvals - cone.eval_2d(rel, theta)) ** 2))), None
 
-    theta, _ = _angle_search(rms_at, rms_at, n_coarse, angle_tol)
+    theta, _ = _angle_search(rms_at, rms_at)
     e = float(np.abs(uvals - cone.eval_2d(rel, theta)).max()) / radius**2
     return FitResult(cone.id, float(np.mod(theta, 2 * np.pi)), None, e, radius, np.inf, degenerate=True)
 
 
-def fit_cone(sol: GridSolution2D, center, radius, catalogue=None, n_coarse=64, angle_tol=1e-4) -> FitResult:
+def fit_cone(sol: GridSolution2D, center, radius, catalogue=None) -> FitResult:
     """Best sup-norm fit of the profile family over the cone catalogue.
 
     Connected cones are fitted over rotation and branch vector: at each
@@ -499,9 +515,9 @@ def fit_cone(sol: GridSolution2D, center, radius, catalogue=None, n_coarse=64, a
             continue
         fitted.add(cone.pattern)
         if cone.connected:
-            res = _fit_connected(cone, rel, uvals, radius, n_coarse, angle_tol)
+            res = _fit_connected(cone, rel, uvals, radius)
         else:
-            res = _fit_degenerate(cone, rel, uvals, radius, n_coarse, angle_tol)
+            res = _fit_degenerate(cone, rel, uvals, radius)
         if best is None or res.epsilon < best.epsilon:
             best = res
     return best
@@ -519,12 +535,12 @@ class ProbeReport:
     oscillations: dict  # pair -> list of (r, osc, 1/(-log r))
 
 
-def regular_point_probe(sol: GridSolution2D, center, radius=0.4, eps0=None) -> ProbeReport:
-    """Check |u - p0(rotated)| <= eps0 on the probe ball and report the
-    tangent-direction oscillation of every free boundary across dyadic scales."""
+def regular_point_probe(sol: GridSolution2D, center, radius=0.4) -> ProbeReport:
+    """Check |u - p0(rotated)| <= eps0 = 0.01 (f_1 - f_N) on the probe ball
+    and report the tangent-direction oscillation of every free boundary
+    across dyadic scales."""
     spec = sol.spec
-    if eps0 is None:
-        eps0 = 0.01 * (spec.forces[0] - spec.forces[-1])
+    eps0 = 0.01 * (spec.forces[0] - spec.forces[-1])
     p0 = Cone1D(spec, "L" * (spec.n_membranes - 1))
     fit = fit_cone(sol, center, radius, catalogue=[p0])
     if fit.epsilon > eps0:

@@ -188,6 +188,9 @@ def _prepare(scenario):
             first.setdefault(tuple(probe), i)
     if errors:
         raise ScenarioError(errors)
+    if pipeline == "weiss":
+        for i, r in enumerate(scenario["radii"]):
+            _at(f"/radii/{i}", analysis.check_ball_inside, grid, scenario["center"][:d], r)
     data = _at("/boundary", _build_boundary, cone, boundary, d)
     gvals = _at("/boundary", solver2d.dirichlet_values, grid, data, n)
     return spec, grid, gvals

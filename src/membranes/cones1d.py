@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConnected
 from .problem import GroupIndex, ProblemSpec, group_force, normalize
 
 LEFT = "L"
@@ -119,28 +118,6 @@ def enumerate_cones(spec: ProblemSpec):
         Cone1D(spec, "".join(p))
         for p in itertools.product((LEFT, POINT, RIGHT), repeat=n - 1)
     ]
-
-
-def cone_coefficients(cone: Cone1D):
-    """Per-membrane pair (a_i^-, a_i^+) with p_i = a^- (x^-)^2 + a^+ (x^+)^2."""
-    return cone.a_minus.copy(), cone.a_plus.copy()
-
-
-@dataclass(frozen=True)
-class BranchLayout:
-    """The N+1 half-quadratic branches of a connected cone."""
-
-    left_groups: tuple
-    right_groups: tuple
-    branch_count: int
-
-
-def branch_layout(cone: Cone1D) -> BranchLayout:
-    if not cone.connected:
-        raise NotConnected(f"cone {cone.pattern!r} has point-only coincidence sets")
-    lg = cone.left_groups()
-    rg = cone.right_groups()
-    return BranchLayout(lg, rg, len(lg) + len(rg))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,14 @@ second derivatives; integrating them with C^1 matching and subtracting the
 weighted average yields the solution.  The linear coefficients of the two
 unbounded intervals form the branch vector b, the constant coefficients the
 error function e(b).  The breakpoint-to-branch map is linear on each region
-of fixed sort order and globally invertible, which is how b_to_gamma inverts
-it: solve in a candidate region, re-identify the region from the result,
-repeat, with exhaustive region enumeration as a fallback.
+of fixed sort order and globally invertible, which is how solution_for
+inverts it: region iteration, then continuation.  Solve in a candidate
+region, re-identify the region from the result, repeat; if that fails,
+follow the segment from a solved anchor to b.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -137,25 +137,6 @@ class BranchVector:
         return BranchVector(self.cone, self.values * float(s))
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorVector:
-    """Per-branch constants of h beyond its linear asymptote; lives in B(p)."""
-
-    cone: Cone1D
-    values: np.ndarray
-
-    @property
-    def minus(self):
-        return self.values[: self.cone.n]
-
-    @property
-    def plus(self):
-        return self.values[self.cone.n :]
-
-    def norm(self):
-        return float(np.linalg.norm(self.values))
 
 
 def zero_branch_vector(cone):
@@ -386,10 +367,11 @@ def solution_to_b(sol: PiecewiseQuadratic1D, cone=None) -> BranchVector:
     return BranchVector(cone, np.concatenate([sol.coeffs[:, 0, 1], sol.coeffs[:, -1, 1]]))
 
 
-def error_function(cone, b) -> ErrorVector:
-    """Per-branch constants of h outside [min gamma, max gamma]."""
+def error_function(cone, b) -> BranchVector:
+    """Per-branch constants of h outside [min gamma, max gamma]; e(b) lies
+    in B(p)."""
     sol = solution_for(cone, b)
-    return ErrorVector(cone, np.concatenate([sol.coeffs[:, 0, 2], sol.coeffs[:, -1, 2]]))
+    return BranchVector(cone, np.concatenate([sol.coeffs[:, 0, 2], sol.coeffs[:, -1, 2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +413,20 @@ def _roundtrip(cone, gamma, bvec, tol):
     return None
 
 
-def b_to_gamma(cone, b, order_seed=None):
-    """Invert the breakpoint map: gamma with solution_to_b(gamma_to_solution)
-    equal to b.
+def b_to_gamma(cone, b):
+    """Invert the breakpoint map by region iteration, then continuation: the
+    gamma of ``solution_for``, with solution_to_b(gamma_to_solution) equal to b."""
+    return solution_for(cone, b).gamma
 
-    Fixed-point region iteration seeded from ``order_seed`` (the identity
-    order by default), exhaustive permutation fallback for N <= 6, segment
-    continuation from a solved anchor above that.  Every candidate is
-    accepted only by its round-trip residual.
+
+def solution_for(cone, b) -> PiecewiseQuadratic1D:
+    """The global solution h(., b), by region iteration, then continuation.
+
+    Region iteration starts from the identity order; if it fails, segment
+    continuation from a solved anchor follows (Allgower & Georg 1990,
+    *Numerical Continuation Methods*).  Every candidate is accepted only by
+    its round-trip residual, and the solution built for that check is returned.
     """
-    return _invert(cone, b, order_seed).gamma
-
-
-def _invert(cone, b, order_seed=None) -> PiecewiseQuadratic1D:
-    """The solution whose gamma b_to_gamma returns: the one built for the
-    round-trip check, so that it is built once."""
     if not cone.connected:
         raise NotConnected(f"cone {cone.pattern!r} is not connected")
     bvec = b.values if isinstance(b, BranchVector) else np.asarray(b, dtype=float)
@@ -453,21 +434,12 @@ def _invert(cone, b, order_seed=None) -> PiecewiseQuadratic1D:
     if d == 0:
         return gamma_to_solution(cone, np.empty(0))
     tol = 1e-10 * max(1.0, float(np.abs(bvec).max()))
-
-    if order_seed is None:
-        order_seed = range(d)
-
-    sol = _iterate_regions(cone, tuple(order_seed), bvec, tol)
-    if sol is None and d <= 5:
-        for sigma in itertools.permutations(range(d)):
-            sol = _roundtrip(cone, _solve_in_region(cone, sigma, bvec), bvec, tol)
-            if sol is not None:
-                break
-    if sol is None and d > 5:
-        sol = _continuation(cone, bvec, tol)
+    sol = _iterate_regions(cone, tuple(range(d)), bvec, tol)
+    if sol is None:
+        sol = _continuation(cone, bvec)
     if sol is None:
         raise NoRegionFound(
-            f"region iteration failed for cone {cone.pattern!r}; the map is "
+            f"region iteration and continuation failed for cone {cone.pattern!r}; the map is "
             "globally invertible, so this indicates a bug"
         )
     return sol
@@ -488,15 +460,14 @@ def _iterate_regions(cone, sigma, bvec, tol, max_iter=40):
     return None
 
 
-def _continuation(cone, bvec, tol, max_steps=2048):
+def _continuation(cone, bvec, max_steps=2048):
+    """Region iteration along the segment from the b of an increasing gamma to
+    ``bvec``, halving the step on failure; the solution at ``bvec``, else None."""
     d = cone.n - 1
-    anchor_gamma = np.arange(d, dtype=float)
-    anchor_b = solution_to_b(gamma_to_solution(cone, anchor_gamma)).values
+    anchor_b = solution_to_b(gamma_to_solution(cone, np.arange(d, dtype=float))).values
     sigma = tuple(range(d))
-    t, step, sol = 0.0, 0.25, None
-    steps = 0
-    while t < 1.0 and steps < max_steps:
-        steps += 1
+    t, step = 0.0, 0.25
+    for _ in range(max_steps):
         tn = min(1.0, t + step)
         target = (1.0 - tn) * anchor_b + tn * bvec
         cand = _iterate_regions(cone, sigma, target, 1e-10 * max(1.0, np.abs(target).max()))
@@ -505,22 +476,11 @@ def _continuation(cone, bvec, tol, max_steps=2048):
             if step < 1e-6:
                 return None
             continue
-        sol, t = cand, tn
-        sigma = tuple(int(i) for i in np.argsort(sol.gamma, kind="stable"))
-        step = min(0.25, step * 2.0)
-    # The last accepted step targets bvec itself with tol, so it passed the
-    # round trip already.
-    return sol if t >= 1.0 else None
-
-
-def solution_for(cone, b) -> PiecewiseQuadratic1D:
-    """The global solution h(., b)."""
-    return _invert(cone, b)
-
-
-def h_eval(cone, b, x):
-    """Evaluate h(x, b); scalar x -> (N,), array -> x.shape + (N,)."""
-    return solution_for(cone, b).eval(x)
+        if tn == 1.0:  # the target was bvec, checked at solution_for's tol
+            return cand
+        t, step = tn, min(0.25, step * 2.0)
+        sigma = tuple(int(i) for i in np.argsort(cand.gamma, kind="stable"))
+    return None
 
 
 def asymmetry(cone, b):
@@ -624,7 +584,6 @@ def build_degenerate_profile(
     decomposition: DegenerateDecomposition,
     angles,
     harmonic_params,
-    n_check=4096,
 ) -> DegenerateProfile2D:
     """Assemble and validate a 2D extension of a degenerate cone.
 
@@ -632,7 +591,7 @@ def build_degenerate_profile(
     (alpha, beta) pair for the harmonic part of the group quadratic (the
     |x|^2 part is fixed by the group force).  Rejects assemblies that break
     the ordering, and inter-group coincidence sets on the unit circle with
-    more than two points or a non-obtuse separation.
+    more than two points or a non-obtuse separation, on 4096 circle samples.
     """
     m = len(decomposition.groups)
     angles = tuple(float(a) for a in np.atleast_1d(angles))
@@ -641,11 +600,11 @@ def build_degenerate_profile(
         raise ValueError(f"expected {m} angles and harmonic parameter pairs")
     profile = DegenerateProfile2D(decomposition, angles, harmonics, rays={})
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     circle = np.column_stack([np.cos(thetas), np.sin(thetas)])
     vals = profile.eval(circle)
     scale = max(1.0, float(np.abs(vals).max()))
-    dtheta = 2.0 * np.pi / n_check
+    dtheta = 2.0 * np.pi / len(thetas)
 
     diffs = vals[:, :-1] - vals[:, 1:]
     worst = diffs.min(axis=0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteData, NotConverged, UnorderedBoundary
+from .errors import NonFiniteData, NotConverged
 from .projection import isotonic_project_batch
 from .solver2d import BOUNDARY, Grid, _relax, dirichlet_values
 
@@ -67,16 +67,10 @@ class GameSpec:
     payoffs: np.ndarray  # (n_boundary, N), phi_1 >= ... >= phi_N per node
 
     def __post_init__(self):
-        n = len(self.costs)
-        phi = np.asarray(self.payoffs, dtype=float)
-        _, boundary, _, _ = self.lattice.indexing()
-        if phi.shape != (len(boundary), n):
-            raise ValueError(f"payoffs shape {phi.shape} != {(len(boundary), n)}")
-        if not (np.isfinite(phi).all() and np.isfinite(self.costs).all()):
-            raise NonFiniteData("payoffs and costs must be finite")
-        scale = max(1.0, float(np.abs(phi).max()))
-        if n > 1 and (phi[:, :-1] - phi[:, 1:]).min() < -1e-10 * scale:
-            raise UnorderedBoundary("boundary payoffs must be ordered")
+        # Payoffs are Dirichlet data: an array or a callable of the boundary points.
+        phi = dirichlet_values(self.lattice, self.payoffs, len(self.costs))
+        if not np.isfinite(self.costs).all():
+            raise NonFiniteData("costs must be finite")
         object.__setattr__(self, "costs", tuple(float(c) for c in self.costs))
         object.__setattr__(self, "payoffs", phi)
 
@@ -111,9 +105,8 @@ def membrane_game(spec, grid, boundary_data) -> GameSpec:
     grid: unit weights required, per-round costs h^2 f / (2d)."""
     if any(abs(w - 1.0) > 1e-12 for w in spec.weights):
         raise ValueError("the game interpretation requires unit weights")
-    phi = dirichlet_values(grid, boundary_data, spec.n_membranes)
     scale = grid.h**2 / (2.0 * grid.dimension)
-    return GameSpec(grid, tuple(scale * f for f in spec.forces), phi)
+    return GameSpec(grid, tuple(scale * f for f in spec.forces), boundary_data)
 
 
 def bellman_solve(game: GameSpec, tol=1e-13, max_iters=None) -> ValueTable:

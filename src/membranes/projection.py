@@ -20,17 +20,10 @@ import numpy as np
 from .errors import InvalidWeight, TooLarge
 
 
-def isotonic_project(values, weights):
-    """Weighted least-squares projection of ``values`` onto v_1 >= ... >= v_N.
-
-    Returns the minimizer of sum w_i (u_i - v_i)^2 subject to the chain
-    constraint; pooled blocks carry their weighted average.
-    """
-    return isotonic_project_batch(values, weights)
-
-
 def isotonic_project_batch(values, weights):
-    """Row-wise weighted isotonic projection of an (M, N) array (or one vector).
+    """Row-wise weighted isotonic projection of an (M, N) array (or one vector):
+    the minimizer of sum w_i (u_i - v_i)^2 subject to u_1 >= ... >= u_N, so
+    pooled blocks carry their weighted average.
 
     Each mean Av(a..b) is summed left to right from a, so Av(a..a) is v_a
     itself.  The result is min/max over one fixed set of floats, hence
@@ -69,7 +62,7 @@ def isotonic_project_batch(values, weights):
 
 
 def qp_oracle_project(values, weights):
-    """Exhaustive block-partition reference for ``isotonic_project``.
+    """Exhaustive block-partition reference for ``isotonic_project_batch``.
 
     Enumerates all compositions of N into contiguous blocks, pools each block
     to its weighted mean, and returns the feasible minimizer.  A float pass

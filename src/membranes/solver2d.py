@@ -450,8 +450,10 @@ def discrete_laplacian(sol: GridSolution2D):
     return (acc - 2.0 * grid.dimension * sol.u[interior]) / grid.h**2
 
 
-def coincidence_labels(sol: GridSolution2D, coincidence_tol):
-    """Per interior node bitmask: bit m set when membranes m, m+1 coincide."""
+def coincidence_labels(sol: GridSolution2D):
+    """Per interior node bitmask: bit m set when membranes m, m+1 coincide
+    within ``default_coincidence_tol``."""
+    coincidence_tol = default_coincidence_tol(sol)
     interior, _, _, _ = sol.grid.indexing()
     ui = sol.u[interior]
     n = sol.n
@@ -465,7 +467,7 @@ def default_coincidence_tol(sol: GridSolution2D):
     return 4.0 * sol.grid.h**2 * float(np.abs(sol.spec.f).max())
 
 
-def residual(sol: GridSolution2D, coincidence_tol=None) -> ResidualReport:
+def residual(sol: GridSolution2D) -> ResidualReport:
     """Euler-Lagrange residuals per coincidence region plus the KKT violation.
 
     Nodes are labeled by which consecutive membranes are within the
@@ -473,12 +475,10 @@ def residual(sol: GridSolution2D, coincidence_tol=None) -> ResidualReport:
     match the group force, prefixes must not exceed it and suffixes must not
     fall below it.
     """
-    if coincidence_tol is None:
-        coincidence_tol = default_coincidence_tol(sol)
     lap = discrete_laplacian(sol)
     w, f = sol.spec.w, sol.spec.f
     n = sol.n
-    labels = coincidence_labels(sol, coincidence_tol)
+    labels = coincidence_labels(sol)
     interior, _, _, _ = sol.grid.indexing()
     ui = sol.u[interior]
 
@@ -516,7 +516,7 @@ def residual(sol: GridSolution2D, coincidence_tol=None) -> ResidualReport:
         ordering_ok=ordering_ok,
         weighted_identity=weighted,
         max_abs_laplacian=float(np.abs(lap).max()) if len(lap) else 0.0,
-        coincidence_tol=coincidence_tol,
+        coincidence_tol=default_coincidence_tol(sol),
     )
 
 
@@ -559,15 +559,15 @@ def check_max_principle(sol_a, sol_b, tol=1e-8) -> MaxPrincipleVerdict:
     return MaxPrincipleVerdict(ok=bool(worst >= -tol), worst_violation=worst, boundary_gap=bgap)
 
 
-def free_boundary_points(sol, k, coincidence_tol=None):
+def free_boundary_points(sol, k):
     """Subgrid free boundary locations for pair k.
 
-    Starts from separated nodes adjacent to the contact set and steps back by
-    the quadratic detachment offset sqrt(d / c) along the gradient of the
-    separation, where c = (f_k - f_{k+1}) / 2 is the detachment coefficient.
+    Starts from separated nodes adjacent to the contact set (within
+    ``default_coincidence_tol``) and steps back by the quadratic detachment
+    offset sqrt(d / c) along the gradient of the separation, where
+    c = (f_k - f_{k+1}) / 2 is the detachment coefficient.
     """
-    if coincidence_tol is None:
-        coincidence_tol = default_coincidence_tol(sol)
+    coincidence_tol = default_coincidence_tol(sol)
     grid = sol.grid
     interior, _, nbr, _ = grid.indexing()
     d = sol.u[:, k - 1] - sol.u[:, k]
@@ -593,16 +593,14 @@ def free_boundary_points(sol, k, coincidence_tol=None):
     return np.asarray(pts)
 
 
-def quadratic_growth_probe(sol: GridSolution2D, k, radii, coincidence_tol=None, max_points=24):
+def quadratic_growth_probe(sol: GridSolution2D, k, radii):
     """max_{B_r(x0)} (u_k - u_{k+1}) / r^2 over free boundary points x0.
 
-    Returns {r: (lo, hi)} bounds of the ratio over the sampled points; the
-    points are subgrid free boundary locations with balls kept inside the
-    domain.
+    Returns {r: (lo, hi)} bounds of the ratio over the sampled points: at
+    most 24 subgrid free boundary locations, evenly strided, with balls kept
+    inside the domain.
     """
-    if coincidence_tol is None:
-        coincidence_tol = default_coincidence_tol(sol)
-    fb_pts = free_boundary_points(sol, k, coincidence_tol)
+    fb_pts = free_boundary_points(sol, k)
     if len(fb_pts) == 0:
         raise EmptyFreeBoundary(f"no free boundary found for pair {k}")
     grid = sol.grid
@@ -624,7 +622,7 @@ def quadratic_growth_probe(sol: GridSolution2D, k, radii, coincidence_tol=None, 
     fb_pts = fb_pts[keep]
     if len(fb_pts) == 0:
         raise EmptyFreeBoundary(f"no free boundary point admits balls of radius {rmax}")
-    stride = max(1, len(fb_pts) // max_points)
+    stride = max(1, len(fb_pts) // 24)
     fb_pts = fb_pts[::stride]
     out = {}
     for r in radii:

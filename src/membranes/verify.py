@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, cones1d, exact1d, gamesim, solver2d
 from .problem import ProblemSpec, normalize
-from .projection import isotonic_project, qp_oracle_project
+from .projection import isotonic_project_batch, qp_oracle_project
 
 SUITES = ("cones", "exact1d", "projection", "solver", "weiss", "game", "all")
 
@@ -90,7 +90,7 @@ def _suite_projection():
         for _ in range(30):
             v = rng.standard_normal(n) * 2.0
             worst = max(
-                worst, float(np.abs(isotonic_project(v, w) - qp_oracle_project(v, w)).max())
+                worst, float(np.abs(isotonic_project_batch(v, w) - qp_oracle_project(v, w)).max())
             )
     return [("projection equals exhaustive oracle", worst <= 1e-10, f"max dev {worst:.1e}")]
 

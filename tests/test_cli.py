@@ -37,6 +37,17 @@ GAME = {
     "n_walks": 100,
 }
 
+WEISS = {
+    "pipeline": "weiss",
+    "problem": PROBLEM2,
+    "domain": {"kind": "rectangle", "x0": -1, "x1": 1, "y0": -1, "y1": 1},
+    "h": 1 / 8,
+    "boundary": {"kind": "cone", "pattern": "L"},
+    "center": [0, 0],
+    "radii": [0.3, 0.5, 0.7],
+}
+WEISS_DISK = dict(WEISS, domain={"kind": "disk", "center": [0, 0], "radius": 1})
+
 
 SMALL_GAME = {
     "pipeline": "game",
@@ -312,11 +323,13 @@ class TestMain:
             (GAME, ("domain", "x1"), -1, "/domain/x1"),
             (GAME, ("boundary", "shift"), [0.5], "/boundary/shift"),
             (SOLVE, ("boundary", "kind"), "profile", "/boundary/b"),
+            (WEISS, ("radii",), [0.3, 0.5, 1.5], "/radii/2"),
+            (WEISS_DISK, ("radii",), [0.3, 0.5, 0.98], "/radii/2"),
         ],
         ids=["ticket-above-n", "probe-off-lattice", "probe-on-boundary", "probe-short",
              "game-weights", "pattern-length", "pattern-character", "h-not-dividing",
              "no-interior", "disk-center-length", "empty-extent", "shift-length",
-             "profile-without-b"],
+             "profile-without-b", "weiss-ball-off-rectangle", "weiss-ball-off-disk"],
     )
     def test_main_preflight_exit_2_without_outputs(self, tmp_path, capsys, base, path, value, pointer):
         scenario = copy.deepcopy(base)

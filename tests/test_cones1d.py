@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from membranes import analysis
-from membranes.cones1d import (
-    Cone1D,
-    branch_layout,
-    cone_coefficients,
-    decompose_degenerate,
-    enumerate_cones,
-)
+from membranes.cones1d import Cone1D, decompose_degenerate, enumerate_cones
 from membranes.errors import NotConnected
+from membranes.exact1d import branch_space_basis
 from membranes.problem import ProblemSpec, normalize
 
 
@@ -41,20 +36,20 @@ class TestEnumeration:
 class TestCoefficients:
     def test_p0(self, spec2):
         cone = Cone1D(spec2, "L")
-        am, ap = cone_coefficients(cone)
+        am, ap = cone.a_minus, cone.a_plus
         assert np.allclose(ap, [0.5, -0.5])
         assert np.allclose(am, [0.0, 0.0])
 
     def test_fully_separated(self, spec2):
         cone = Cone1D(spec2, ".")
-        am, ap = cone_coefficients(cone)
+        am, ap = cone.a_minus, cone.a_plus
         assert np.allclose(ap, [0.5, -0.5])
         assert np.allclose(am, [0.5, -0.5])
 
     def test_n3_mixed_pattern(self):
         spec = normalize(ProblemSpec(3, (1, 1, 1), (1, 0, -1)))
         cone = Cone1D(spec, "RL")
-        am, ap = cone_coefficients(cone)
+        am, ap = cone.a_minus, cone.a_plus
         assert np.allclose(ap, [0.25, 0.25, -0.5])
         assert np.allclose(am, [0.5, -0.25, -0.25])
         # Ordering and zero weighted mean by direct evaluation.
@@ -80,30 +75,28 @@ class TestCoefficients:
 
 class TestBranchLayout:
     def test_p0_n2(self, spec2):
-        lay = branch_layout(Cone1D(spec2, "L"))
-        assert [(g.lo, g.hi) for g in lay.left_groups] == [(1, 2)]
-        assert [(g.lo, g.hi) for g in lay.right_groups] == [(1, 1), (2, 2)]
-        assert lay.branch_count == 3
+        cone = Cone1D(spec2, "L")
+        assert [(g.lo, g.hi) for g in cone.left_groups()] == [(1, 2)]
+        assert [(g.lo, g.hi) for g in cone.right_groups()] == [(1, 1), (2, 2)]
 
     def test_n3_rl(self, spec3):
-        lay = branch_layout(Cone1D(spec3, "RL"))
-        assert [(g.lo, g.hi) for g in lay.left_groups] == [(1, 1), (2, 3)]
-        assert [(g.lo, g.hi) for g in lay.right_groups] == [(1, 2), (3, 3)]
-        assert lay.branch_count == 4
+        cone = Cone1D(spec3, "RL")
+        assert [(g.lo, g.hi) for g in cone.left_groups()] == [(1, 1), (2, 3)]
+        assert [(g.lo, g.hi) for g in cone.right_groups()] == [(1, 2), (3, 3)]
 
     def test_n1(self):
-        spec = ProblemSpec(1, (1.0,), (0.0,))
-        lay = branch_layout(Cone1D(spec, ""))
-        assert lay.branch_count == 2
+        cone = Cone1D(ProblemSpec(1, (1.0,), (0.0,)), "")
+        assert len(cone.left_groups()) + len(cone.right_groups()) == 2
 
     def test_connected_count_is_n_plus_1(self, spec4):
         for cone in enumerate_cones(spec4):
             if cone.connected:
-                assert branch_layout(cone).branch_count == spec4.n_membranes + 1
+                branches = len(cone.left_groups()) + len(cone.right_groups())
+                assert branches == spec4.n_membranes + 1
 
     def test_not_connected(self, spec2):
         with pytest.raises(NotConnected):
-            branch_layout(Cone1D(spec2, "."))
+            branch_space_basis(Cone1D(spec2, "."))
 
 
 class TestDecomposition:

@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membranes.errors import InvalidWeight, TooLarge
-from membranes.projection import (
-    isotonic_project,
-    isotonic_project_batch,
-    qp_oracle_project,
-)
+from membranes.projection import isotonic_project_batch, qp_oracle_project
 
 
 def vectors(max_n=8):
@@ -22,16 +18,16 @@ def vectors(max_n=8):
 
 class TestExamples:
     def test_symmetric_pooling(self):
-        assert np.allclose(isotonic_project([0, 1], [1, 1]), [0.5, 0.5])
+        assert np.allclose(isotonic_project_batch([0, 1], [1, 1]), [0.5, 0.5])
 
     def test_full_pool_vs_oracle(self):
-        got = isotonic_project([2, 1, 3], [1, 1, 1])
+        got = isotonic_project_batch([2, 1, 3], [1, 1, 1])
         ref = qp_oracle_project([2, 1, 3], [1, 1, 1])
         assert np.allclose(got, [2, 2, 2], atol=1e-12)
         assert np.allclose(got, ref, atol=1e-12)
 
     def test_weighted_pool(self):
-        assert np.allclose(isotonic_project([0, 3], [2, 1]), [1, 1])
+        assert np.allclose(isotonic_project_batch([0, 3], [2, 1]), [1, 1])
 
     def test_oracle_feasible_identity(self):
         v = [3.0, 1.0, 0.5]
@@ -45,7 +41,7 @@ class TestExamples:
     def test_oracle_pools_violations_below_its_screen(self, v):
         # Both inputs violate the order by less than the float screen's slack.
         got = qp_oracle_project(v, [1.0] * len(v))
-        assert np.array_equal(got, isotonic_project(v, [1.0] * len(v)))
+        assert np.array_equal(got, isotonic_project_batch(v, [1.0] * len(v)))
         assert np.allclose(got, sum(v) / len(v), rtol=1e-15, atol=0.0)
 
 
@@ -54,7 +50,7 @@ class TestAgainstOracle:
     @settings(max_examples=150, deadline=None)
     def test_pava_equals_oracle(self, vw):
         v, w = vw
-        got = isotonic_project(v, w)
+        got = isotonic_project_batch(v, w)
         ref = qp_oracle_project(v, w)
         assert np.abs(got - ref).max() <= 1e-10
 
@@ -63,7 +59,8 @@ class TestAgainstOracle:
             w = rng.uniform(0.2, 3.0, n)
             for _ in range(80):
                 v = rng.standard_normal(n) * 3
-                assert np.abs(isotonic_project(v, w) - qp_oracle_project(v, w)).max() <= 1e-10
+                dev = np.abs(isotonic_project_batch(v, w) - qp_oracle_project(v, w)).max()
+                assert dev <= 1e-10
 
 
 class TestProperties:
@@ -72,9 +69,9 @@ class TestProperties:
     def test_idempotent_ordered_mean_preserving(self, vw):
         v, w = vw
         v, w = np.asarray(v), np.asarray(w)
-        p = isotonic_project(v, w)
+        p = isotonic_project_batch(v, w)
         assert np.all(np.diff(p) <= 1e-12)
-        assert np.abs(isotonic_project(p, w) - p).max() <= 1e-12
+        assert np.abs(isotonic_project_batch(p, w) - p).max() <= 1e-12
         assert abs(w @ p - w @ v) <= 1e-10 * max(1.0, np.abs(v).max())
 
     @given(vectors())
@@ -85,8 +82,8 @@ class TestProperties:
         w = np.ones(len(v))
         d = np.sin(np.arange(len(v)))  # arbitrary fixed perturbation direction
         for t in (0.1, 1.0):
-            a = isotonic_project(v, w)
-            b = isotonic_project(v + t * d, w)
+            a = isotonic_project_batch(v, w)
+            b = isotonic_project_batch(v + t * d, w)
             assert np.abs(a - b).max() <= t * np.abs(d).max() + 1e-12
 
     @given(vectors())
@@ -95,8 +92,8 @@ class TestProperties:
         v, w = vw
         v = np.asarray(v)
         bump = np.abs(np.cos(np.arange(len(v))))
-        a = isotonic_project(v, w)
-        b = isotonic_project(v + bump, w)
+        a = isotonic_project_batch(v, w)
+        b = isotonic_project_batch(v + bump, w)
         assert np.all(b >= a - 1e-12)
 
     def test_batch_matches_scalar(self, rng):
@@ -105,7 +102,7 @@ class TestProperties:
             vs = rng.standard_normal((200, n)) * 2
             batch = isotonic_project_batch(vs, w)
             for i in range(0, 200, 17):
-                assert np.abs(batch[i] - isotonic_project(vs[i], w)).max() <= 1e-12
+                assert np.abs(batch[i] - isotonic_project_batch(vs[i], w)).max() <= 1e-12
 
 
     def test_batch_exactly_ordered_and_fixed_on_ordered_rows(self, rng):
@@ -124,7 +121,7 @@ class TestProperties:
 class TestErrors:
     def test_invalid_weight(self):
         with pytest.raises(InvalidWeight):
-            isotonic_project([1, 0], [1, 0])
+            isotonic_project_batch([1, 0], [1, 0])
         with pytest.raises(InvalidWeight):
             qp_oracle_project([1, 0], [-1, 1])
         with pytest.raises(InvalidWeight):
