@@ -25,7 +25,7 @@ from .exact1d import (
     branch_space_basis,
     zero_branch_vector,
 )
-from .solver2d import Grid, GridSolution2D, INACTIVE, default_coincidence_tol
+from .solver2d import Grid, GridSolution2D, INACTIVE, cell_corners, default_coincidence_tol
 
 # ---------------------------------------------------------------------------
 # Free boundary extraction
@@ -96,8 +96,8 @@ def _marching_squares(f, xs, ys, level):
     return segments
 
 
-def _chain_segments(segments, digits=9):
-    key = lambda p: (round(p[0], digits), round(p[1], digits))
+def _chain_segments(segments):
+    key = lambda p: (round(p[0], 9), round(p[1], 9))
     adj = {}
     for a, b in segments:
         adj.setdefault(key(a), []).append((a, b))
@@ -162,103 +162,97 @@ class WeissProfile:
 def weiss(sol: GridSolution2D, center, radii) -> WeissProfile:
     """Scaled energy minus scaled boundary term by midpoint/trapezoid quadrature.
 
-    The volume term uses cell midpoints with 4x4 subsampled area fractions on
-    cut cells; the boundary term interpolates the fields onto 8*ceil(r/h)
-    circle samples.
+    The volume term uses cell midpoints (corner differences and corner mean).
+    Two pieces depend on the dimension: the share of a cut cell inside the
+    ball (exact length in 1D, 4x4 subsamples in 2D) and the sphere samples
+    (the two endpoints in 1D, 8*ceil(r/h) but at least 64 circle points in 2D).
     """
     grid = sol.grid
+    d, h = grid.dimension, grid.h
     center = np.asarray(center, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
-    check_ball_inside(grid, center, radii[-1])  # the largest ball holds the others
-    if grid.dimension == 1:
-        return _weiss_1d(sol, float(center[0]), radii)
-    h = grid.h
+    # The largest ball holds the others.
+    centres, cdist, half_diag = check_ball_inside(grid, center, radii[-1])
     w, f = sol.spec.w, sol.spec.f
-    fields = sol.fields()
-    # Cell-centered integrand.
-    ux = (fields[1:, :-1] + fields[1:, 1:] - fields[:-1, :-1] - fields[:-1, 1:]) / (2 * h)
-    uy = (fields[:-1, 1:] + fields[1:, 1:] - fields[:-1, :-1] - fields[1:, :-1]) / (2 * h)
-    uc = 0.25 * (fields[:-1, :-1] + fields[1:, :-1] + fields[:-1, 1:] + fields[1:, 1:])
-    integrand = (0.5 * (ux * ux + uy * uy) + f * uc) @ w
-    xs = grid.origin[0] + h * (np.arange(grid.shape[0] - 1) + 0.5)
-    ys = grid.origin[1] + h * (np.arange(grid.shape[1] - 1) + 0.5)
-    cdist = np.hypot(xs[:, None] - center[0], ys[None, :] - center[1])
-    half_diag = h / np.sqrt(2.0)
-    sub = (np.arange(4) + 0.5) / 4.0 - 0.5
-    sx, sy = np.meshgrid(sub * h, sub * h, indexing="ij")
+    offsets = cell_corners(d)
+    corners = _cell_corners(sol.fields(), d)
+    grad_sq = 0.0
+    for ax in range(d):  # the corners above minus the corners below
+        above = [v for v, c in zip(corners, offsets) if c[ax]]
+        below = [-v for v, c in zip(corners, offsets) if not c[ax]]
+        g = sum(above + below) / (2 ** (d - 1) * h)
+        grad_sq = grad_sq + g * g
+    integrand = (0.5 * grad_sq + f * (0.5**d * sum(corners))) @ w
+    if d == 1:
+        lo, hi = centres[0] - 0.5 * h, centres[0] + 0.5 * h
+
+        def cut_fraction(cut, r):
+            inside = np.minimum(hi[cut], center[0] + r) - np.maximum(lo[cut], center[0] - r)
+            return np.maximum(0.0, inside) / h
+
+        sphere = lambda r: (np.array([[-1.0], [1.0]]), 2.0)  # directions, |S^0|
+    else:
+        sub = (np.arange(4) + 0.5) / 4.0 - 0.5
+        sx, sy = np.meshgrid(sub * h, sub * h, indexing="ij")
+
+        def cut_fraction(cut, r):
+            px = centres[0][cut][:, None, None] + sx[None]
+            py = centres[1][cut][:, None, None] + sy[None]
+            return (np.hypot(px - center[0], py - center[1]) <= r).mean(axis=(1, 2))
+
+        def sphere(r):
+            ns = max(64, 8 * int(np.ceil(r / h)))
+            theta = 2.0 * np.pi * np.arange(ns) / ns
+            return np.column_stack([np.cos(theta), np.sin(theta)]), 2.0 * np.pi
 
     E = np.empty(len(radii))
     F = np.empty(len(radii))
     for idx, r in enumerate(radii):
-        used = cdist <= r + half_diag
         full = cdist <= r - half_diag
-        cut = used & ~full
+        cut = (cdist <= r + half_diag) & ~full
         vol = integrand[full].sum()
         if cut.any():
-            ci, cj = np.nonzero(cut)
-            px = xs[ci][:, None, None] + sx[None]
-            py = ys[cj][:, None, None] + sy[None]
-            frac = (np.hypot(px - center[0], py - center[1]) <= r).mean(axis=(1, 2))
-            vol += (integrand[cut] * frac).sum()
-        E[idx] = vol * h * h / r**4
-
-        ns = max(64, 8 * int(np.ceil(r / h)))
-        theta = 2.0 * np.pi * np.arange(ns) / ns
-        pts = center + r * np.column_stack([np.cos(theta), np.sin(theta)])
-        uv = sol.interp(pts)
-        F[idx] = float(((uv * uv) @ w).mean() * 2.0 * np.pi * r) / r**5
+            vol += (integrand[cut] * cut_fraction(cut, r)).sum()
+        E[idx] = vol * h**d / r ** (d + 2)
+        directions, area = sphere(r)
+        uv = sol.interp(center + r * directions)
+        F[idx] = float(((uv * uv) @ w).mean()) * area / r**4
     return WeissProfile(tuple(center), radii, E, F, E - F, grid_h=h)
+
+
+def _cell_corners(arr, d):
+    """Views of ``arr``, grid-shaped in its first d axes, at the 2^d corners
+    of every cell, in ``cell_corners`` order."""
+    shape = arr.shape[:d]
+    return [arr[tuple(slice(c, c + m - 1) for c, m in zip(off, shape))] for off in cell_corners(d)]
+
+
+def _cell_distances(grid, center):
+    """Cell-centre coordinates (one cell-shaped array per axis), their
+    distances to ``center``, and half a cell diagonal, h sqrt(d) / 2."""
+    d, h = grid.dimension, grid.h
+    axes = [grid.origin[ax] + h * (np.arange(grid.shape[ax] - 1) + 0.5) for ax in range(d)]
+    centres = np.meshgrid(*axes, indexing="ij")
+    # hypot folded from 0 is |x| in 1D; h / sqrt(4 / d) is h / 2 and h / sqrt(2) to the bit.
+    dist = np.hypot.reduce([c - x for c, x in zip(centres, center)], axis=0, initial=0.0)
+    return centres, dist, h / np.sqrt(4.0 / d)
 
 
 def check_ball_inside(grid: Grid, center, r):
     """Raise BallOutsideDomain unless the ball of radius r about ``center``
     lies in the stored domain and every cell it touches (cells whose center
-    is within r plus half a cell diagonal) has only active corners."""
+    is within r plus half a cell diagonal) has only active corners.
+    Returns the cell centres, their distances to ``center`` and h sqrt(d) / 2."""
     center = np.asarray(center, dtype=float)
-    h = grid.h
     lo = np.asarray(grid.origin)
-    hi = lo + h * (np.asarray(grid.shape) - 1)
+    hi = lo + grid.h * (np.asarray(grid.shape) - 1)
     if np.any(center - r < lo - 1e-12) or np.any(center + r > hi + 1e-12):
         raise BallOutsideDomain(f"ball of radius {r} leaves the stored domain")
-    active = grid.role != INACTIVE
-    xs = grid.origin[0] + h * (np.arange(grid.shape[0] - 1) + 0.5)
-    if grid.dimension == 1:
-        ok = active[1:] & active[:-1]
-        used = np.abs(xs - center[0]) <= r + 0.5 * h
-    else:
-        ok = active[1:, 1:] & active[1:, :-1] & active[:-1, 1:] & active[:-1, :-1]
-        ys = grid.origin[1] + h * (np.arange(grid.shape[1] - 1) + 0.5)
-        cdist = np.hypot(xs[:, None] - center[0], ys[None, :] - center[1])
-        used = cdist <= r + h / np.sqrt(2.0)
-    if np.any(used & ~ok):
+    ok = np.logical_and.reduce(_cell_corners(grid.role != INACTIVE, grid.dimension))
+    centres, dist, half_diag = _cell_distances(grid, center)
+    if np.any((dist <= r + half_diag) & ~ok):
         raise BallOutsideDomain(f"ball of radius {r} meets inactive nodes")
-
-
-def _weiss_1d(sol, center, radii):
-    grid = sol.grid
-    h = grid.h
-    w, f = sol.spec.w, sol.spec.f
-    fields = sol.fields()
-    ux = (fields[1:] - fields[:-1]) / h
-    uc = 0.5 * (fields[1:] + fields[:-1])
-    integrand = (0.5 * ux * ux + f * uc) @ w
-    xs = grid.origin[0] + h * (np.arange(grid.shape[0] - 1) + 0.5)
-    E = np.empty(len(radii))
-    F = np.empty(len(radii))
-    for idx, r in enumerate(radii):
-        used = np.abs(xs - center) <= r + 0.5 * h
-        full = np.abs(xs - center) <= r - 0.5 * h
-        cut = used & ~full
-        vol = integrand[full].sum() * h
-        # Fractional end cells.
-        for ci in np.flatnonzero(cut):
-            lo = max(xs[ci] - 0.5 * h, center - r)
-            hi = min(xs[ci] + 0.5 * h, center + r)
-            vol += integrand[ci] * max(0.0, hi - lo)
-        E[idx] = vol / r**3
-        uv = sol.interp(np.array([[center - r], [center + r]]))
-        F[idx] = float(((uv * uv) @ w).sum()) / r**4
-    return WeissProfile((center,), radii, E, F, E - F, grid_h=h)
+    return centres, dist, half_diag
 
 
 def weiss_of_cone(cone: Cone1D):
@@ -277,10 +271,8 @@ def calibrate_weiss_slack(sol: GridSolution2D, center, radii, cone=None):
     """
     if cone is None:
         cone = Cone1D(sol.spec, "L" * (sol.spec.n_membranes - 1))
-    coords = sol.grid.coords()
-    vals = cone.eval_2d(coords - np.asarray(center)) if sol.grid.dimension == 2 else cone.eval(
-        coords[:, 0] - center[0]
-    )
+    # The cone's variable is the last coordinate (eval_2d at angle 0 in 2D).
+    vals = cone.eval(sol.grid.coords()[:, -1] - center[-1])
     vals = np.where(np.isfinite(sol.u), vals, np.nan)
     ref = GridSolution2D(sol.grid, sol.spec, vals, sol.boundary_values)
     prof = weiss(ref, center, radii)
@@ -319,14 +311,11 @@ def monotonicity_check(profile: WeissProfile, c_q) -> MonotonicityVerdict:
 
 
 def blowup_rescale(sol: GridSolution2D, r) -> GridSolution2D:
-    """Resample r^{-2} u(r x) onto the unit square (or interval) at the
-    solution's grid step."""
-    if sol.grid.dimension == 2:
-        target_grid = Grid.rectangle(-1, 1, -1, 1, sol.grid.h)
-    else:
-        target_grid = Grid.interval(-1, 1, sol.grid.h)
-    pts = target_grid.coords() * r
+    """Resample r^{-2} u(r x) onto the box [-1, 1]^d at the solution's grid
+    step."""
     g = sol.grid
+    target_grid = Grid.box((-1,) * g.dimension, (1,) * g.dimension, g.h)
+    pts = target_grid.coords() * r
     lo = np.asarray(g.origin)
     hi = lo + g.h * (np.asarray(g.shape) - 1)
     if np.any(pts < lo - 1e-12) or np.any(pts > hi + 1e-12):

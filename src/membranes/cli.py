@@ -105,6 +105,8 @@ def _semantic_errors(obj):
         errors.append("/boundary/b: required for kind 'profile'")
     if obj.get("radii") == []:
         errors.append("/radii: expected a nonempty array")
+    elif obj.get("pipeline") == "weiss" and len(obj["radii"]) < 3:
+        errors.append("/radii: the monotonicity check needs at least 3 radii")
     for i, pair in enumerate(obj.get("series", [])):
         if len(pair) != 2:
             errors.append(f"/series/{i}: expected an [r, epsilon] pair")
@@ -128,10 +130,11 @@ def _build_boundary(cone, boundary, dimension):
         if dimension == 1:
             return lambda pts: cone.eval(pts[:, 0] - shift[0])
         return lambda pts: cone.eval_2d(pts - shift, angle)
-    b1 = exact1d.BranchVector(cone, np.asarray(boundary["b"], dtype=float))
-    b0 = exact1d.BranchVector(
-        cone, np.asarray(boundary.get("b0", [0.0] * (2 * cone.n)), dtype=float)
-    )
+    zero = [0.0] * (2 * cone.n)
+    b1, b0 = (exact1d.BranchVector(cone, boundary.get(key, zero)) for key in ("b", "b0"))
+    for key, b in (("b", b1), ("b0", b0)):
+        if not b.is_member():
+            raise ScenarioError(f"/boundary/{key}: not in the branch space of cone {cone.pattern}")
     prof = exact1d.ApproximateProfile2D(cone, b0, b1, angle)
     if dimension == 1:
         sol = exact1d.solution_for(cone, b0)
@@ -141,9 +144,11 @@ def _build_boundary(cone, boundary, dimension):
 
 def _at(pointer, build, *args):
     """``build(*args)``, with a ValueError or MembraneError it raises reported
-    as a ScenarioError at ``pointer``."""
+    as a ScenarioError at ``pointer``; a ScenarioError passes unchanged."""
     try:
         return build(*args)
+    except ScenarioError:
+        raise
     except (ValueError, MembraneError) as exc:
         raise ScenarioError(f"{pointer}: {exc}") from exc
 

@@ -252,11 +252,11 @@ class PiecewiseQuadratic1D:
         )
 
 
-def _sample_points(breakpoints, pad=2.0, per_interval=7):
+def _sample_points(breakpoints):
     if len(breakpoints) == 0:
-        return np.linspace(-pad, pad, 2 * per_interval)
-    lo, hi = breakpoints[0] - pad, breakpoints[-1] + pad
-    return np.linspace(lo, hi, per_interval * (len(breakpoints) + 1) + 2)
+        return np.linspace(-2.0, 2.0, 14)
+    lo, hi = breakpoints[0] - 2.0, breakpoints[-1] + 2.0
+    return np.linspace(lo, hi, 7 * (len(breakpoints) + 1) + 2)
 
 
 def _interval_curvatures(cone, xs, gamma):
@@ -353,9 +353,9 @@ def gamma_to_solution(cone, gamma) -> PiecewiseQuadratic1D:
     return PiecewiseQuadratic1D(xs, coeffs, cone=cone, gamma=gamma.copy())
 
 
-def solution_to_b(sol: PiecewiseQuadratic1D, cone=None) -> BranchVector:
+def solution_to_b(sol: PiecewiseQuadratic1D) -> BranchVector:
     """Read b from the linear coefficients of the two unbounded intervals."""
-    cone = cone if cone is not None else sol.cone
+    cone = sol.cone
     if cone is None:
         raise ValueError("solution carries no cone reference")
     scale = max(1.0, float(np.abs(cone.spec.f).max()))
@@ -445,12 +445,12 @@ def solution_for(cone, b) -> PiecewiseQuadratic1D:
     return sol
 
 
-def _iterate_regions(cone, sigma, bvec, tol, max_iter=40):
+def _iterate_regions(cone, sigma, bvec, tol):
     """Solve in region sigma, move to the region of the result, repeat; the
     solution once the region repeats (a fixed point or a cycle) and passes
     the round trip, else None."""
     visited = set()
-    for _ in range(max_iter):
+    for _ in range(40):
         gamma = _solve_in_region(cone, sigma, bvec)
         new_sigma = tuple(int(i) for i in np.argsort(gamma, kind="stable"))
         visited.add(sigma)
@@ -460,14 +460,14 @@ def _iterate_regions(cone, sigma, bvec, tol, max_iter=40):
     return None
 
 
-def _continuation(cone, bvec, max_steps=2048):
+def _continuation(cone, bvec):
     """Region iteration along the segment from the b of an increasing gamma to
     ``bvec``, halving the step on failure; the solution at ``bvec``, else None."""
     d = cone.n - 1
     anchor_b = solution_to_b(gamma_to_solution(cone, np.arange(d, dtype=float))).values
     sigma = tuple(range(d))
     t, step = 0.0, 0.25
-    for _ in range(max_steps):
+    for _ in range(2048):
         tn = min(1.0, t + step)
         target = (1.0 - tn) * anchor_b + tn * bvec
         cand = _iterate_regions(cone, sigma, target, 1e-10 * max(1.0, np.abs(target).max()))

@@ -22,11 +22,16 @@ One sweep loop, ``_relax``, serves ``solve`` (load h^2 f) and
 ``gamesim.bellman_solve`` (unit weights, load 2d times the round costs): an
 over-relaxed sweep of that monotone map has the fixed point of its Jacobi
 form, value iteration (Bertsekas & Tsitsiklis 1989, sec. 3.2).
+
+Intervals, rectangles and disks share one layout for any dimension d: nodes
+in C order, neighbours -1/+1 along each axis in turn (i-1, i+1, j-1, j+1),
+red nodes with an even index sum, and cells of 2^d nodes (``cell_corners``).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -59,19 +64,20 @@ class Grid:
     _cache: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
+    def box(lo, hi, h):
+        """Box from corner ``lo`` to corner ``hi``; its faces carry the data."""
+        shape = tuple(_count(a, b, h) for a, b in zip(lo, hi))
+        role = np.full(shape, BOUNDARY, dtype=np.int8)
+        role[tuple(slice(1, -1) for _ in shape)] = INTERIOR
+        return Grid(len(shape), tuple(float(a) for a in lo), shape, float(h), role)
+
+    @staticmethod
     def interval(lo, hi, h):
-        n = _count(lo, hi, h)
-        role = np.full(n, INTERIOR, dtype=np.int8)
-        role[0] = role[-1] = BOUNDARY
-        return Grid(1, (float(lo),), (n,), float(h), role)
+        return Grid.box((lo,), (hi,), h)
 
     @staticmethod
     def rectangle(x0, x1, y0, y1, h):
-        nx, ny = _count(x0, x1, h), _count(y0, y1, h)
-        role = np.full((nx, ny), INTERIOR, dtype=np.int8)
-        role[0, :] = role[-1, :] = BOUNDARY
-        role[:, 0] = role[:, -1] = BOUNDARY
-        return Grid(2, (float(x0), float(y0)), (nx, ny), float(h), role)
+        return Grid.box((x0, y0), (x1, y1), h)
 
     @staticmethod
     def disk(cx, cy, radius, h):
@@ -88,13 +94,10 @@ class Grid:
         role = np.full((n, n), INACTIVE, dtype=np.int8)
         role[inside] = INTERIOR
         # Cut nodes: outside neighbors of interior nodes carry Dirichlet data.
-        for ax, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-            nb = np.roll(inside, shift, axis=ax)
-            if shift == 1:
-                nb[(0,) if ax == 0 else (slice(None), 0)] = False
-            else:
-                nb[(-1,) if ax == 0 else (slice(None), -1)] = False
-            role[nb & ~inside] = BOUNDARY
+        # The edges hold no inside node, so np.roll wraps nothing in.
+        for ax in (0, 1):
+            for shift in (1, -1):
+                role[np.roll(inside, shift, axis=ax) & ~inside] = BOUNDARY
         return Grid(2, (float(x0), float(y0)), (n, n), float(h), role)
 
     @property
@@ -104,10 +107,7 @@ class Grid:
     def coords(self):
         """(M, d) coordinates of all nodes, C-order flattened."""
         axes = [self.origin[a] + self.h * np.arange(self.shape[a]) for a in range(self.dimension)]
-        if self.dimension == 1:
-            return axes[0][:, None]
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([xg.ravel(), yg.ravel()])
+        return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
     def diameter(self):
         pts = self.coords()[self.role.ravel() != INACTIVE]
@@ -121,21 +121,19 @@ class Grid:
             boundary = np.flatnonzero(role == BOUNDARY)
             if len(interior) == 0:
                 raise EmptyGrid(f"grid of shape {self.shape} at h={self.h} has no interior nodes")
-            if self.dimension == 1:
-                nbr = np.stack([interior - 1, interior + 1], axis=1)
-                parity = interior % 2
-            else:
-                nx, ny = self.shape
-                i, j = np.divmod(interior, ny)
-                nbr = np.stack(
-                    [(i - 1) * ny + j, (i + 1) * ny + j, i * ny + j - 1, i * ny + j + 1],
-                    axis=1,
-                )
-                parity = (i + j) % 2
+            strides = [int(np.prod(self.shape[ax + 1 :])) for ax in range(self.dimension)]
+            nbr = np.stack([interior + sign * s for s in strides for sign in (-1, 1)], axis=1)
             if np.any(role[nbr.ravel()] == INACTIVE):
                 raise ValueError("interior node with inactive neighbor")
-            self._cache["indexing"] = (interior, boundary, nbr, parity == 0)
+            red = sum(np.unravel_index(interior, self.shape)) % 2 == 0
+            self._cache["indexing"] = (interior, boundary, nbr, red)
         return self._cache["indexing"]
+
+
+def cell_corners(d):
+    """Offsets of the 2^d corners of a cell, first axis fastest: (0, 0),
+    (1, 0), (0, 1), (1, 1) in 2D."""
+    return [c[::-1] for c in itertools.product((0, 1), repeat=d)]
 
 
 def _count(lo, hi, h):
@@ -164,29 +162,19 @@ class GridSolution2D:
         return self.u.reshape(self.grid.shape + (self.n,))
 
     def interp(self, points):
-        """Bilinear (linear in 1D) interpolation at points inside the domain."""
+        """Multilinear interpolation at points inside the domain."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         g = self.grid
         t = (pts - np.asarray(g.origin)) / g.h
         i0 = np.clip(np.floor(t).astype(int), 0, np.asarray(g.shape) - 2)
         frac = t - i0
         vals = self.fields()
-        if g.dimension == 1:
-            a = vals[i0[:, 0]]
-            b = vals[i0[:, 0] + 1]
-            out = a * (1 - frac[:, :1]) + b * frac[:, :1]
-        else:
-            fx, fy = frac[:, :1], frac[:, 1:2]
-            v00 = vals[i0[:, 0], i0[:, 1]]
-            v10 = vals[i0[:, 0] + 1, i0[:, 1]]
-            v01 = vals[i0[:, 0], i0[:, 1] + 1]
-            v11 = vals[i0[:, 0] + 1, i0[:, 1] + 1]
-            out = (
-                v00 * (1 - fx) * (1 - fy)
-                + v10 * fx * (1 - fy)
-                + v01 * (1 - fx) * fy
-                + v11 * fx * fy
-            )
+        out = None
+        for corner in cell_corners(g.dimension):
+            term = vals[tuple(i0[:, ax] + c for ax, c in enumerate(corner))]
+            for ax, c in enumerate(corner):
+                term = term * (frac[:, ax : ax + 1] if c else 1 - frac[:, ax : ax + 1])
+            out = term if out is None else out + term
         return out
 
 
@@ -355,20 +343,12 @@ def _fill_holes(arr, mask):
         acc = np.zeros_like(arr)
         cnt = np.zeros(mask.shape)
         for ax in range(nd):
-            for sh in (1, -1):
-                dst = [slice(None)] * nd
-                src = [slice(None)] * nd
-                if sh == 1:
-                    dst[ax], src[ax] = slice(1, None), slice(None, -1)
-                else:
-                    dst[ax], src[ax] = slice(None, -1), slice(1, None)
-                ok = np.zeros_like(mask)
-                ok[tuple(dst)] = ~mask[tuple(src)]
-                take = mask & ok
-                vals = np.zeros_like(arr)
-                vals[tuple(dst)] = arr[tuple(src)]
-                acc[take] += vals[take]
-                cnt[take] += 1
+            lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(nd))
+            hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(nd))
+            for dst, src in ((hi, lo), (lo, hi)):
+                take = mask[dst] & ~mask[src]
+                acc[dst][take] += arr[src][take]
+                cnt[dst][take] += 1
         newly = mask & (cnt > 0)
         arr[newly] = acc[newly] / cnt[newly][..., None]
         mask = mask & ~newly
@@ -389,28 +369,20 @@ def prolong(sol: GridSolution2D, fine_grid: Grid):
 
 
 def _energy_flat(grid, spec, u):
-    interior, boundary, nbr, _ = grid.indexing()
+    interior = grid.indexing()[0]
     h, d = grid.h, grid.dimension
     w, f = spec.w, spec.f
-    role = grid.role.ravel()
-    active = role != INACTIVE
+    fields = u.reshape(grid.shape + (len(w),))
+    active = grid.role != INACTIVE
+    inner = grid.role == INTERIOR
     e = 0.0
-    # Edges in +x / +y with both endpoints active and at least one interior.
-    if d == 1:
-        a = np.arange(grid.n_nodes - 1)
-        b = a + 1
-        keep = active[a] & active[b] & ((role[a] == INTERIOR) | (role[b] == INTERIOR))
-        diff = (u[a[keep]] - u[b[keep]]) / h
+    # Edges along each axis with both endpoints active and at least one interior.
+    for ax in range(d):
+        a = tuple(slice(None, -1) if k == ax else slice(None) for k in range(d))
+        b = tuple(slice(1, None) if k == ax else slice(None) for k in range(d))
+        keep = active[a] & active[b] & (inner[a] | inner[b])
+        diff = (fields[a][keep] - fields[b][keep]) / h
         e += 0.5 * float(((diff * diff) @ w).sum()) * h**d
-    else:
-        nx, ny = grid.shape
-        idx = np.arange(grid.n_nodes)
-        for step in (ny, 1):
-            a = idx[: grid.n_nodes - step] if step == ny else idx[idx % ny != ny - 1]
-            b = a + step
-            keep = active[a] & active[b] & ((role[a] == INTERIOR) | (role[b] == INTERIOR))
-            diff = (u[a[keep]] - u[b[keep]]) / h
-            e += 0.5 * float(((diff * diff) @ w).sum()) * h**d
     e += float(((u[interior] * f) @ w).sum()) * h**d
     return e
 
@@ -614,7 +586,7 @@ def quadratic_growth_probe(sol: GridSolution2D, k, radii):
     keep = np.all(fb_pts - rmax - grid.h >= lo_dom, axis=1) & np.all(
         fb_pts + rmax + grid.h <= hi_dom, axis=1
     )
-    if grid.dimension == 2 and (grid.role == INACTIVE).any():
+    if (grid.role == INACTIVE).any():
         # Disk domain: keep balls away from the circular cut.
         center = 0.5 * (lo_dom + hi_dom)
         radius = 0.5 * (hi_dom - lo_dom).min()
@@ -634,7 +606,7 @@ def quadratic_growth_probe(sol: GridSolution2D, k, radii):
     return out
 
 
-def save_solution_csv(sol: GridSolution2D, csv_path, header_path=None):
+def save_solution_csv(sol: GridSolution2D, csv_path, header_path):
     """Node table as CSV plus a JSON header with grid, spec and residuals."""
     coords = sol.grid.coords()
     role = sol.grid.role.ravel()
@@ -649,23 +621,22 @@ def save_solution_csv(sol: GridSolution2D, csv_path, header_path=None):
                 f"{v:.17g}" for v in sol.u[idx]
             ]
             wtr.writerow(row)
-    if header_path is not None:
-        rep = residual(sol)
-        header = {
-            "grid": {
-                "dimension": sol.grid.dimension,
-                "origin": list(sol.grid.origin),
-                "shape": list(sol.grid.shape),
-                "h": sol.grid.h,
-            },
-            "spec": json.loads(sol.spec.to_json()),
-            "residual": json.loads(rep.to_json()),
-            # Strict JSON has no Infinity: an error bound not yet estimated is null.
-            "meta": {
-                k: None if isinstance(v, float) and not np.isfinite(v) else v
-                for k, v in sol.meta.items()
-                if not isinstance(v, list)
-            },
-        }
-        with open(header_path, "w") as fh:
-            json.dump(header, fh, indent=2)
+    rep = residual(sol)
+    header = {
+        "grid": {
+            "dimension": sol.grid.dimension,
+            "origin": list(sol.grid.origin),
+            "shape": list(sol.grid.shape),
+            "h": sol.grid.h,
+        },
+        "spec": json.loads(sol.spec.to_json()),
+        "residual": json.loads(rep.to_json()),
+        # Strict JSON has no Infinity: an error bound not yet estimated is null.
+        "meta": {
+            k: None if isinstance(v, float) and not np.isfinite(v) else v
+            for k, v in sol.meta.items()
+            if not isinstance(v, list)
+        },
+    }
+    with open(header_path, "w") as fh:
+        json.dump(header, fh, indent=2)

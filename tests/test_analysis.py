@@ -148,6 +148,13 @@ class TestWeiss:
         with pytest.raises(BallOutsideDomain):
             analysis.weiss(sol, (0.8, 0.0), [0.5])
 
+    def test_ball_inside_interval(self):
+        g = Grid.interval(-1, 1, 1 / 8)
+        analysis.check_ball_inside(g, (0.2,), 0.75)
+        for center, r in (((0.2,), 0.85), ((-0.5,), 0.6)):
+            with pytest.raises(BallOutsideDomain):
+                analysis.check_ball_inside(g, center, r)
+
     def test_weiss_1d(self, spec2, rng):
         cone = Cone1D(spec2, "L")
         g = Grid.interval(-1, 1, 1 / 256)

@@ -47,6 +47,9 @@ WEISS = {
     "radii": [0.3, 0.5, 0.7],
 }
 WEISS_DISK = dict(WEISS, domain={"kind": "disk", "center": [0, 0], "radius": 1})
+PROFILE = {"kind": "profile", "pattern": "L"}
+# Not in B(p) of the cone "L": its left halves differ.
+OFF_BRANCH = [0.01, -0.01, 0.005, -0.005]
 
 
 SMALL_GAME = {
@@ -325,11 +328,15 @@ class TestMain:
             (SOLVE, ("boundary", "kind"), "profile", "/boundary/b"),
             (WEISS, ("radii",), [0.3, 0.5, 1.5], "/radii/2"),
             (WEISS_DISK, ("radii",), [0.3, 0.5, 0.98], "/radii/2"),
+            (WEISS, ("radii",), [0.3, 0.5], "/radii"),
+            (SOLVE, ("boundary",), dict(PROFILE, b=OFF_BRANCH), "/boundary/b"),
+            (SOLVE, ("boundary",), dict(PROFILE, b=[0, 0, 0, 0], b0=OFF_BRANCH), "/boundary/b0"),
         ],
         ids=["ticket-above-n", "probe-off-lattice", "probe-on-boundary", "probe-short",
              "game-weights", "pattern-length", "pattern-character", "h-not-dividing",
              "no-interior", "disk-center-length", "empty-extent", "shift-length",
-             "profile-without-b", "weiss-ball-off-rectangle", "weiss-ball-off-disk"],
+             "profile-without-b", "weiss-ball-off-rectangle", "weiss-ball-off-disk",
+             "weiss-two-radii", "profile-b-off-branch-space", "profile-b0-off-branch-space"],
     )
     def test_main_preflight_exit_2_without_outputs(self, tmp_path, capsys, base, path, value, pointer):
         scenario = copy.deepcopy(base)

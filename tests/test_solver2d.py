@@ -57,6 +57,53 @@ class TestGrid:
         g = Grid.rectangle(0, 2, 0, 1, 1 / 8)
         assert g.diameter() == pytest.approx(np.sqrt(5))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Grid.interval(-1, 1, 1 / 8),
+            lambda: Grid.rectangle(0, 1, -0.5, 0.375, 1 / 8),
+            lambda: Grid.disk(0.1, -0.2, 0.5, 1 / 16),
+        ],
+        ids=["interval", "rectangle", "disk"],
+    )
+    def test_indexing_matches_node_loop(self, make):
+        g = make()
+        interior, boundary, nbr, red = g.indexing()
+        role = g.role.ravel()
+        assert interior.tolist() == [k for k in range(g.n_nodes) if role[k] == 0]
+        assert boundary.tolist() == [k for k in range(g.n_nodes) if role[k] == 1]
+        for row, k in enumerate(interior.tolist()):
+            index = np.unravel_index(k, g.shape)
+            expected = []
+            for ax in range(g.dimension):  # i-1, i+1, then j-1, j+1
+                for step in (-1, 1):
+                    nb = list(index)
+                    nb[ax] += step
+                    expected.append(int(np.ravel_multi_index(nb, g.shape)))
+            assert nbr[row].tolist() == expected
+            assert red[row] == (sum(index) % 2 == 0)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: Grid.interval(-1, 1, 1 / 8), lambda p: 0.3 - 1.7 * p[:, 0]),
+            (
+                lambda: Grid.rectangle(-1, 0.5, 0, 0.5, 1 / 8),
+                lambda p: 0.3 - 1.7 * p[:, 0] + 0.9 * p[:, 1] + 2.1 * p[:, 0] * p[:, 1],
+            ),
+        ],
+        ids=["interval-affine", "rectangle-bilinear"],
+    )
+    def test_interp_reproduces_multilinear_fields(self, spec2, rng, make, field):
+        g = make()
+        both = lambda p: np.column_stack([field(p) + 1.0, field(p) - 1.0])
+        vals = both(g.coords())
+        sol = GridSolution2D(g, spec2, vals, vals[g.indexing()[1]])
+        lo = np.asarray(g.origin)
+        hi = lo + g.h * (np.asarray(g.shape) - 1)
+        pts = lo + (hi - lo) * rng.uniform(0.0, 1.0, (200, g.dimension))
+        assert np.abs(sol.interp(pts) - both(pts)).max() <= 1e-13
+
 
 class TestSolve:
     def test_harmonic_polynomial_exact(self):
