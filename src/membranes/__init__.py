@@ -9,7 +9,7 @@ projection  weighted isotonic projection onto the ordered cone (min-max formula)
 solver2d    projected SOR grid solver on intervals/rectangles/disks
 analysis    free boundaries, Weiss energy, blow-up rescaling, cone fitting
 gamesim     ticket-exchange game: Bellman table by the solver's sweep, Monte Carlo check
-cli         scenario runner and verification suites
+cli         scenario runner
 """
 
 from .problem import GroupIndex, ProblemSpec, group_force, normalize, subtract_average

@@ -358,14 +358,16 @@ class FitResult:
 _MIRROR = str.maketrans("LR", "RL")
 
 
-def _ball_samples(sol, center, radius):
-    coords = sol.grid.coords()
-    active = sol.grid.role.ravel() != INACTIVE
-    rel = coords - np.asarray(center)
-    sel = active & (np.linalg.norm(rel, axis=1) <= radius)
+def ball_nodes(grid: Grid, center, radius):
+    """Offsets of the grid's nodes from ``center`` and the mask of the active
+    ones within ``radius``; raises BallOutsideDomain if the mask is empty."""
+    active = grid.role.ravel() != INACTIVE
+    rel = grid.coords() - np.asarray(center)
+    with np.errstate(over="ignore"):  # a distance that overflows is outside the ball
+        sel = active & (np.linalg.norm(rel, axis=1) <= radius)
     if not sel.any():
         raise BallOutsideDomain("no active nodes in the fit ball")
-    return rel[sel], sol.u[sel]
+    return rel, sel
 
 
 def _lsq_branch(cone, theta, rel, uvals, resid=None):
@@ -494,7 +496,8 @@ def fit_cone(sol: GridSolution2D, center, radius, catalogue=None) -> FitResult:
     pair is fitted once and reported as its first member in catalogue
     order.  Deterministic given the search schedule.
     """
-    rel, uvals = _ball_samples(sol, center, radius)
+    rel, sel = ball_nodes(sol.grid, center, radius)
+    rel, uvals = rel[sel], sol.u[sel]
     if catalogue is None:
         catalogue = enumerate_cones(sol.spec)
     best = None

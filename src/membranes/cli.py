@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, cones1d, exact1d, gamesim, solver2d, verify as verify_mod
+from . import __version__, analysis, cones1d, exact1d, gamesim, solver2d
 from .errors import MembraneError, ScenarioError
 from .problem import ProblemSpec, normalize
 
@@ -50,7 +50,8 @@ _JSON_TYPES = {
 
 def _schema_errors(value, schema, path):
     """Check ``value`` against the JSON Schema keywords scenario_schema.json
-    uses: type, enum, minimum, exclusiveMinimum, required, properties, items."""
+    uses: type, enum, minimum, exclusiveMinimum, minItems, maxItems, required,
+    properties, items."""
     where = path or "/"
     kind = schema.get("type")
     if kind is not None and not _JSON_TYPES[kind](value):
@@ -61,6 +62,10 @@ def _schema_errors(value, schema, path):
         return [f"{where}: expected a value >= {schema['minimum']}"]
     if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
         return [f"{where}: expected a value > {schema['exclusiveMinimum']}"]
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        return [f"{where}: expected at least {schema['minItems']} items"]
+    if "maxItems" in schema and len(value) > schema["maxItems"]:
+        return [f"{where}: expected at most {schema['maxItems']} items"]
     errors = [f"{path}/{key}: required" for key in schema.get("required", ()) if key not in value]
     for key, sub in schema.get("properties", {}).items():
         if key in value:
@@ -103,13 +108,8 @@ def _semantic_errors(obj):
                     errors.append(f"/domain/{hi}: expected a value > {lo}")
     if obj.get("boundary", {}).get("kind") == "profile" and "b" not in obj["boundary"]:
         errors.append("/boundary/b: required for kind 'profile'")
-    if obj.get("radii") == []:
-        errors.append("/radii: expected a nonempty array")
-    elif obj.get("pipeline") == "weiss" and len(obj["radii"]) < 3:
+    if obj.get("pipeline") == "weiss" and len(obj["radii"]) < 3:
         errors.append("/radii: the monotonicity check needs at least 3 radii")
-    for i, pair in enumerate(obj.get("series", [])):
-        if len(pair) != 2:
-            errors.append(f"/series/{i}: expected an [r, epsilon] pair")
     return errors
 
 
@@ -162,6 +162,7 @@ def _prepare(scenario):
     """
     pipeline = scenario["pipeline"]
     if pipeline == "rate":
+        _at("/series", analysis.rate_fit, scenario["series"])
         return None, None, None
     spec = _at("/problem", lambda: normalize(ProblemSpec.from_json(scenario["problem"])))
     if pipeline == "cones":
@@ -193,9 +194,10 @@ def _prepare(scenario):
             first.setdefault(tuple(probe), i)
     if errors:
         raise ScenarioError(errors)
-    if pipeline == "weiss":
+    ball_check = {"weiss": analysis.check_ball_inside, "blowup": analysis.ball_nodes}
+    if pipeline in ball_check:
         for i, r in enumerate(scenario["radii"]):
-            _at(f"/radii/{i}", analysis.check_ball_inside, grid, scenario["center"][:d], r)
+            _at(f"/radii/{i}", ball_check[pipeline], grid, scenario["center"][:d], r)
     data = _at("/boundary", _build_boundary, cone, boundary, d)
     gvals = _at("/boundary", solver2d.dirichlet_values, grid, data, n)
     return spec, grid, gvals
@@ -379,29 +381,6 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def verify(suite_name, out_dir=None):
-    """Run a module's acceptance checks; prints a pass/fail table."""
-    try:
-        rows = verify_mod.run_suite(suite_name)
-    except KeyError:
-        print(f"unknown suite {suite_name!r}; choose from {verify_mod.SUITES}", file=sys.stderr)
-        return 2
-    width = max(len(r[0]) for r in rows)
-    failed = 0
-    for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        failed += not ok
-        print(f"{status}  {name.ljust(width)}  {detail}")
-    print(f"{len(rows) - failed}/{len(rows)} checks passed")
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        _write_json(
-            Path(out_dir) / f"verify_{suite_name}.json",
-            [{"name": n, "passed": bool(ok), "detail": d} for n, ok, d in rows],
-        )
-    return 0 if failed == 0 else 1
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="membranes",
@@ -414,13 +393,7 @@ def main(argv=None):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-    pv = sub.add_parser("verify", help="run a module's acceptance checks")
-    pv.add_argument("suite", choices=verify_mod.SUITES)
-    pv.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-
-    if args.command == "verify":
-        return verify(args.suite, args.out)
     return run(args.scenario, args.out, seed=args.seed, tol=args.tol, command=args.command)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -401,18 +401,6 @@ class ResidualReport:
     max_abs_laplacian: float
     coincidence_tol: float
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "kkt_residual": self.kkt_residual,
-                "region_residuals": {k: v for k, v in self.region_residuals.items()},
-                "ordering_ok": self.ordering_ok,
-                "weighted_identity": self.weighted_identity,
-                "max_abs_laplacian": self.max_abs_laplacian,
-                "coincidence_tol": self.coincidence_tol,
-            }
-        )
-
 
 def discrete_laplacian(sol: GridSolution2D):
     """(n_interior, N) five/three-point Laplacian at interior nodes."""
@@ -630,7 +618,7 @@ def save_solution_csv(sol: GridSolution2D, csv_path, header_path):
             "h": sol.grid.h,
         },
         "spec": json.loads(sol.spec.to_json()),
-        "residual": json.loads(rep.to_json()),
+        "residual": asdict(rep),
         # Strict JSON has no Infinity: an error bound not yet estimated is null.
         "meta": {
             k: None if isinstance(v, float) and not np.isfinite(v) else v

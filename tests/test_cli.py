@@ -47,6 +47,9 @@ WEISS = {
     "radii": [0.3, 0.5, 0.7],
 }
 WEISS_DISK = dict(WEISS, domain={"kind": "disk", "center": [0, 0], "radius": 1})
+BLOWUP = dict(WEISS, pipeline="blowup")
+# Five radii over 2.5 decades: the least rate_fit accepts.
+RATE = {"pipeline": "rate", "series": [[r, 0.1] for r in (1e-3, 1e-2, 0.03, 0.1, 0.3)]}
 PROFILE = {"kind": "profile", "pattern": "L"}
 # Not in B(p) of the cone "L": its left halves differ.
 OFF_BRANCH = [0.01, -0.01, 0.005, -0.005]
@@ -101,9 +104,13 @@ class TestValidation:
             (SOLVE, ("boundary", "pattern"), 3),
             (GAME, ("tickets",), [0]),
             (GAME, ("seed",), "x"),
+            (WEISS, ("radii",), []),
+            (RATE, ("series", 0), [0.1]),
+            (RATE, ("series", 0), [0.1, 0.2, 0.3]),
         ],
         ids=["tol-string", "tol-negative", "max-sweeps-string", "radius-negative",
-             "n-boolean", "pattern-number", "ticket-zero", "seed-string"],
+             "n-boolean", "pattern-number", "ticket-zero", "seed-string", "radii-empty",
+             "series-pair-short", "series-pair-long"],
     )
     def test_schema_rules_exit_2_without_outputs(self, tmp_path, capsys, base, path, value):
         scenario = copy.deepcopy(base)
@@ -114,7 +121,7 @@ class TestValidation:
         out = tmp_path / "out"
         assert cli.run(write_scenario(tmp_path, "s.json", scenario), out) == 2
         assert not out.exists()
-        assert "/" + "/".join(path) in capsys.readouterr().err
+        assert "/" + "/".join(map(str, path)) in capsys.readouterr().err
 
 
 class TestRun:
@@ -278,30 +285,6 @@ class TestRun:
 
 
 class TestMain:
-    def test_verify_subcommand(self, capsys):
-        assert cli.main(["verify", "projection"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-
-    def test_verify_writes_report(self, tmp_path):
-        assert cli.verify("cones", out_dir=tmp_path) == 0
-        rows = json.loads((tmp_path / "verify_cones.json").read_text())
-        assert all(r["passed"] for r in rows)
-
-    def test_verify_weiss_covers_fitting(self, tmp_path):
-        assert cli.verify("weiss", out_dir=tmp_path) == 0
-        rows = json.loads((tmp_path / "verify_weiss.json").read_text())
-        assert "fit_cone recovers a rotated N=3 profile" in [r["name"] for r in rows]
-
-    def test_verify_game_checks_kkt(self, tmp_path):
-        assert cli.verify("game", out_dir=tmp_path) == 0
-        rows = json.loads((tmp_path / "verify_game.json").read_text())
-        assert "Bellman table satisfies KKT (residual <= 1e-8)" in [r["name"] for r in rows]
-
-    def test_unknown_suite(self):
-        with pytest.raises(SystemExit):
-            cli.main(["verify", "bogus"])
-
     def test_pipeline_mismatch(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, "c.json", {"pipeline": "cones", "problem": PROBLEM2})
         assert cli.main(["solve", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 2
@@ -331,12 +314,20 @@ class TestMain:
             (WEISS, ("radii",), [0.3, 0.5], "/radii"),
             (SOLVE, ("boundary",), dict(PROFILE, b=OFF_BRANCH), "/boundary/b"),
             (SOLVE, ("boundary",), dict(PROFILE, b=[0, 0, 0, 0], b0=OFF_BRANCH), "/boundary/b0"),
+            (RATE, ("series",), RATE["series"][:4], "/series"),
+            (RATE, ("series", 2, 1), 0.0, "/series"),
+            (RATE, ("series", 0, 0), 0.005, "/series"),
+            (BLOWUP, ("center",), [5, 5], "/radii/0"),
+            (BLOWUP, ("center",), [1e308, 0], "/radii/0"),
+            (dict(BLOWUP, center=[0.05, 0.05]), ("radii",), [0.3, 0.01], "/radii/1"),
         ],
         ids=["ticket-above-n", "probe-off-lattice", "probe-on-boundary", "probe-short",
              "game-weights", "pattern-length", "pattern-character", "h-not-dividing",
              "no-interior", "disk-center-length", "empty-extent", "shift-length",
              "profile-without-b", "weiss-ball-off-rectangle", "weiss-ball-off-disk",
-             "weiss-two-radii", "profile-b-off-branch-space", "profile-b0-off-branch-space"],
+             "weiss-two-radii", "profile-b-off-branch-space", "profile-b0-off-branch-space",
+             "rate-four-radii", "rate-zero-epsilon", "rate-short-span", "blowup-ball-off-grid",
+             "blowup-center-overflows", "blowup-ball-between-nodes"],
     )
     def test_main_preflight_exit_2_without_outputs(self, tmp_path, capsys, base, path, value, pointer):
         scenario = copy.deepcopy(base)

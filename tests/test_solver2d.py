@@ -154,11 +154,16 @@ class TestSolve:
         assert np.abs(sol_b.u[itr] - sol_a.u[itr] - c).max() <= 1e-12
 
     def test_energy_monotone(self, spec3, rng):
-        g = Grid.rectangle(0, 1, 0, 1, 1 / 12)
-        data = ordered_random_boundary(spec3, rng)
-        sol = solver2d.solve(spec3, g, data, max_sweeps=300, track_energy=True)
-        tr = sol.meta["energy_trace"]
-        assert all(tr[i + 1] <= tr[i] + 1e-12 for i in range(len(tr) - 1))
+        # A rectangle and an interval: the 1D energy has its own code path.
+        cone = Cone1D(spec3, "RL")
+        cases = [
+            (Grid.rectangle(0, 1, 0, 1, 1 / 12), ordered_random_boundary(spec3, rng), 300),
+            (Grid.interval(-1, 1, 1 / 16), lambda p: cone.eval(p[:, 0] - 0.21), 400),
+        ]
+        for g, data, sweeps in cases:
+            sol = solver2d.solve(spec3, g, data, max_sweeps=sweeps, track_energy=True)
+            tr = sol.meta["energy_trace"]
+            assert all(tr[i + 1] <= tr[i] + 1e-12 for i in range(len(tr) - 1)), g.dimension
 
     def test_ordering_exact_every_node(self, spec3, rng):
         g = Grid.rectangle(0, 1, 0, 1, 1 / 16)
