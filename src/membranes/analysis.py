@@ -384,37 +384,124 @@ def _lsq_branch(cone, theta, rel, uvals, resid=None):
     ball has no points.
     """
     basis = branch_space_basis(cone)
-    k = basis.shape[1]
-    if k == 0:
+    if basis.shape[1] == 0:
         return zero_branch_vector(cone)
     y1, y2 = _rotated_coords(rel, theta)
     target = uvals - cone.eval(y2) if resid is None else resid
-    n = cone.n
     s = y1 * y2
     s_plus = np.where(y2 >= 0, s, 0.0)
+    sides = [(s_side @ s_side, s_side @ target) for s_side in (s_plus, s - s_plus)]
+    return BranchVector(cone, basis @ _branch_coefficients(basis, cone.n, sides))
+
+
+def _branch_coefficients(basis, n, sides):
+    """Solve the normal equations of ``_lsq_branch`` for c, given
+    ``sides`` = ((S_+, T_+), (S_-, T_-))."""
+    k = basis.shape[1]
     normal = np.zeros((k, k))
     rhs = np.zeros(k)
-    for c_side, s_side in ((basis[n:], s_plus), (basis[:n], s - s_plus)):
-        normal += (s_side @ s_side) * (c_side.T @ c_side)
-        rhs += c_side.T @ (s_side @ target)
+    for c_side, (s_sq, t) in zip((basis[n:], basis[:n]), sides):
+        normal += s_sq * (c_side.T @ c_side)
+        rhs += c_side.T @ t
     c, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
-    return BranchVector(cone, basis @ c)
+    return c
 
 
 _N_COARSE = 64  # angles of the coarse scan
+_COARSE_THETAS = 2.0 * np.pi * np.arange(_N_COARSE) / _N_COARSE
 _ANGLE_TOL = 1e-4  # width of the final golden-section bracket
 
 
-def _angle_search(misfit_at, coarse_at):
+def _angular_moments(rel, uvals):
+    """Prefix sums over the ball's points sorted by polar angle phi in
+    [0, 2 pi) of the columns x^4, x^3 y, x^2 y^2, x y^3, y^4; x^2 u_n for
+    each membrane, then x y u_n, then y^2 u_n; |u|^2.  Returns the sorted
+    angles and the (M + 1) prefix rows, the first one zero, so the sums over
+    the points with phi in [lo, hi) are the difference of the rows at
+    ``searchsorted(phi, hi)`` and ``searchsorted(phi, lo)``."""
+    phi = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
+    order = np.argsort(phi, kind="stable")
+    x, y, u = rel[order, 0], rel[order, 1], uvals[order]
+    n = u.shape[1]
+    prefix = np.zeros((len(x) + 1, 6 + 3 * n))
+    cols = prefix[1:]  # filled in place, then summed in place
+    quad = np.column_stack([x * x, x * y, y * y])
+    cols[:, :3] = quad[:, :1] * quad  # x^4, x^3 y, x^2 y^2
+    cols[:, 3:5] = quad[:, 2:] * quad[:, 1:]  # x y^3, y^4
+    cols[:, 5:-1] = (quad[:, :, None] * u[:, None, :]).reshape(len(x), 3 * n)
+    cols[:, -1] = (u * u).sum(axis=1)
+    np.cumsum(cols, axis=0, out=cols)
+    return phi[order], prefix
+
+
+def _form_product(f, g):
+    """Row-wise product of two quadratic forms given by their coefficients
+    on (x^2, x y, y^2): the quartic's coefficients on (x^4, x^3 y, x^2 y^2,
+    x y^3, y^4)."""
+    out = np.zeros((len(f), 5))
+    for i in range(3):
+        out[:, i : i + 3] += f[:, i : i + 1] * g
+    return out
+
+
+def _coarse_misfits(cone, moments):
+    """RMS misfit of the linearized profile cone(y2) + y1 y2 b_side(y2),
+    with b from ``_lsq_branch``'s normal equations, at every coarse angle,
+    from the ball's ``_angular_moments`` alone.
+
+    At angle theta the side y2 >= 0 is the polar window [theta, theta + pi).
+    y2^2 and s = y1 y2 are quadratic forms in (x, y) with coefficients in
+    cos theta and sin theta, so each sum a side needs is a row of form
+    coefficients times a difference of two prefix rows: q4, q3 and s_sq of
+    y2^4, y2^2 s and s^2, u_y2 and u_s of y2^2 u_n and s u_n.  The squared
+    misfit, summed over the sides with their a and b,
+    |u|^2 - 2 (a.u_y2 + b.u_s) + |a|^2 q4 + 2 a.b q3 + |b|^2 s_sq,
+    follows in closed form.  A point with y2 = 0 adds 0 to every side sum,
+    so rounding at a window edge does not matter.  The subtraction loses
+    about 1e-16 of |u|^2, far below the misfit gaps that rank the angles.
+    """
+    phi, prefix = moments
+    n = cone.n
+    ct, st = np.cos(_COARSE_THETAS), np.sin(_COARSE_THETAS)
+    y2_sq = np.column_stack([st * st, -2.0 * st * ct, ct * ct])
+    s = np.column_stack([-st * ct, ct * ct - st * st, st * ct])
+    quartics = np.stack([_form_product(y2_sq, y2_sq), _form_product(y2_sq, s), _form_product(s, s)])
+    lo = np.mod(_COARSE_THETAS, np.pi)
+    inner = prefix[np.searchsorted(phi, lo + np.pi)] - prefix[np.searchsorted(phi, lo)]
+    outer = prefix[-1] - inner
+    upper = (_COARSE_THETAS < np.pi)[:, None]  # the window [theta, theta + pi) is the inner one
+    plus, minus = np.where(upper, inner, outer), np.where(upper, outer, inner)
+    sides = []
+    for sums, a in ((plus, cone.a_plus), (minus, cone.a_minus)):
+        q4, q3, s_sq = (quartics * sums[:, :5]).sum(axis=2)  # sums of y2^4, y2^2 s, s^2
+        u_moments = sums[:, 5:-1].reshape(-1, 3, n)
+        u_y2 = np.einsum("aj,ajn->an", y2_sq, u_moments)
+        u_s = np.einsum("aj,ajn->an", s, u_moments)
+        sides.append((a, q4, q3, s_sq, u_y2, u_s))
+    basis = branch_space_basis(cone)
+    coef = np.zeros((_N_COARSE, basis.shape[1]))
+    if basis.shape[1]:
+        for i in range(_N_COARSE):
+            normal_sides = [(s_sq[i], u_s[i] - a * q3[i]) for a, _, q3, s_sq, _, u_s in sides]
+            coef[i] = _branch_coefficients(basis, n, normal_sides)
+    sq = np.full(_N_COARSE, prefix[-1, -1])
+    for (a, q4, q3, s_sq, u_y2, u_s), c_side in zip(sides, (basis[n:], basis[:n])):
+        b = coef @ c_side.T
+        sq += (a @ a) * q4 + 2.0 * (b @ a) * q3 + (b * b).sum(axis=1) * s_sq
+        sq -= 2.0 * (u_y2 @ a + (u_s * b).sum(axis=1))
+    return np.sqrt(np.maximum(sq, 0.0) / (len(phi) * n))
+
+
+def _angle_search(misfit_at, coarse):
     """Minimize ``misfit_at(theta) -> (misfit, payload)`` over the angle.
 
-    A coarse scan of _N_COARSE angles ranks them by ``coarse_at``, a cheaper
-    stand-in with the same signature; the winner is re-scored with
-    ``misfit_at`` and refined by golden-section steps on ``misfit_at``
-    around it down to _ANGLE_TOL.  Only ``misfit_at`` values are compared
-    at the end.  Returns the winning (theta, payload)."""
-    thetas = 2.0 * np.pi * np.arange(_N_COARSE) / _N_COARSE
-    theta0 = thetas[int(np.argmin([coarse_at(theta)[0] for theta in thetas]))]
+    ``coarse`` holds a misfit at each of the _N_COARSE angles of
+    _COARSE_THETAS, a cheaper stand-in for ``misfit_at`` or ``misfit_at``
+    itself; the best of them is re-scored with ``misfit_at`` and refined by
+    golden-section steps on ``misfit_at`` around it down to _ANGLE_TOL.
+    Only ``misfit_at`` values are compared at the end.  Returns the winning
+    (theta, payload)."""
+    theta0 = _COARSE_THETAS[int(np.argmin(coarse))]
     e0, p0 = misfit_at(theta0)
     step = 2.0 * np.pi / _N_COARSE
     lo, hi = theta0 - step, theta0 + step
@@ -434,19 +521,12 @@ def _angle_search(misfit_at, coarse_at):
     return min([(f1, x1, p1), (f2, x2, p2), (e0, theta0, p0)], key=lambda t: t[0])[1:]
 
 
-def _fit_connected(cone, rel, uvals, radius):
+def _fit_connected(cone, rel, uvals, radius, moments):
     # The angle search minimizes the RMS misfit, which is robust to
     # perturbations; the reported epsilon is the sup misfit of the result.
     # The coarse scan ranks angles by the misfit of the linearized profile
-    # cone(y2) + y1 y2 b_side(y2) that _lsq_branch fits, which needs no
-    # exact profile evaluation.
-    def linear_rms_at(theta):
-        b = _lsq_branch(cone, theta, rel, uvals)
-        y1, y2 = _rotated_coords(rel, theta)
-        b_side = np.where((y2 >= 0)[:, None], b.plus, b.minus)
-        lin = cone.eval(y2) + (y1 * y2)[:, None] * b_side
-        return float(np.sqrt(np.mean((uvals - lin) ** 2))), None
-
+    # cone(y2) + y1 y2 b_side(y2) that _lsq_branch fits, computed from the
+    # ball's angular moments with no exact profile evaluation.
     def resid_at(theta, b):
         return uvals - ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta).eval(rel)
 
@@ -455,7 +535,7 @@ def _fit_connected(cone, rel, uvals, radius):
         resid = resid_at(theta, b)
         return float(np.sqrt(np.mean(resid**2))), (b, resid)
 
-    theta, (b, resid) = _angle_search(rms_at, linear_rms_at)
+    theta, (b, resid) = _angle_search(rms_at, _coarse_misfits(cone, moments))
     e = float(np.abs(resid).max()) / radius**2
     # Sup-norm polish: correct b against the exact profile a few times.
     for _ in range(3):
@@ -476,7 +556,7 @@ def _fit_degenerate(cone, rel, uvals, radius):
     def rms_at(theta):
         return float(np.sqrt(np.mean((uvals - cone.eval_2d(rel, theta)) ** 2))), None
 
-    theta, _ = _angle_search(rms_at, rms_at)
+    theta, _ = _angle_search(rms_at, [rms_at(t)[0] for t in _COARSE_THETAS])
     e = float(np.abs(uvals - cone.eval_2d(rel, theta)).max()) / radius**2
     return FitResult(cone.id, float(np.mod(theta, 2 * np.pi)), None, e, radius, np.inf, degenerate=True)
 
@@ -487,19 +567,26 @@ def fit_cone(sol: GridSolution2D, center, radius, catalogue=None) -> FitResult:
     Connected cones are fitted over rotation and branch vector: at each
     angle the branch vector solves the linearized least squares through its
     k x k normal equations (``_lsq_branch``).  A coarse scan ranks the
-    angles by the RMS misfit of that linearized profile; the winner is
-    re-scored and refined by golden-section steps on the RMS misfit of the
-    exact profile, then polished against the exact profile in the sup norm.
-    Degenerate cones are fitted over rotation only.  A cone whose L<->R
-    swap came earlier in the catalogue is skipped: it is the same field
-    turned by pi, and the angle search covers [0, 2 pi), so each mirror
-    pair is fitted once and reported as its first member in catalogue
-    order.  Deterministic given the search schedule.
+    angles by the RMS misfit of that linearized profile, which it computes
+    from prefix sums of the ball's moments over the polar angle, taken once
+    per ball and shared by every cone (``_coarse_misfits``), so no angle
+    rotates the ball.  The winner is re-scored and refined by golden-section
+    steps on the RMS misfit of the exact profile, then polished against the
+    exact profile in the sup norm.  Degenerate cones are fitted over
+    rotation only, their coarse scan on the exact RMS misfit.  A cone whose
+    L<->R swap came earlier in the catalogue is skipped: it is the same
+    field turned by pi, and the angle search covers [0, 2 pi), so each
+    mirror pair is fitted once and reported as its first member in
+    catalogue order.  Deterministic given the search schedule.  Raises
+    InsufficientData for an empty catalogue.
     """
-    rel, sel = ball_nodes(sol.grid, center, radius)
-    rel, uvals = rel[sel], sol.u[sel]
     if catalogue is None:
         catalogue = enumerate_cones(sol.spec)
+    if not catalogue:
+        raise InsufficientData("empty cone catalogue")
+    rel, sel = ball_nodes(sol.grid, center, radius)
+    rel, uvals = rel[sel], sol.u[sel]
+    moments = _angular_moments(rel, uvals)
     best = None
     fitted = set()
     for cone in catalogue:
@@ -507,7 +594,7 @@ def fit_cone(sol: GridSolution2D, center, radius, catalogue=None) -> FitResult:
             continue
         fitted.add(cone.pattern)
         if cone.connected:
-            res = _fit_connected(cone, rel, uvals, radius)
+            res = _fit_connected(cone, rel, uvals, radius, moments)
         else:
             res = _fit_degenerate(cone, rel, uvals, radius)
         if best is None or res.epsilon < best.epsilon:
@@ -624,7 +711,7 @@ def rate_fit(series) -> RateFit:
     eps = np.array([e for _, e in series])
     if len(radii) < 5:
         raise InsufficientData("need at least 5 radii")
-    if radii.min() <= 0 or radii.max() / radii.min() < 100.0 - 1e-9:
+    if radii.min() <= 0 or np.log(radii.max()) - np.log(radii.min()) < np.log(100.0) - 1e-9:
         raise InsufficientData("radii must span at least two decades")
     if np.any(eps <= 0):
         raise InsufficientData("epsilons must be positive")

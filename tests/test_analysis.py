@@ -13,6 +13,7 @@ from membranes.errors import (
 from membranes.exact1d import (
     ApproximateProfile2D,
     BranchVector,
+    _rotated_coords,
     branch_space_basis,
     build_degenerate_profile,
     random_branch_vector,
@@ -263,6 +264,12 @@ def dense_lsq_branch(cone, theta, rel, uvals, resid=None):
     return BranchVector(cone, basis @ c)
 
 
+def one_sided_ball(cone, rng):
+    """300 points with y > 0 and the cone's values there plus noise."""
+    rel = np.column_stack([rng.uniform(-0.5, 0.5, 300), rng.uniform(0.01, 0.5, 300)])
+    return rel, cone.eval(rel[:, 1]) + 1e-2 * rng.standard_normal((300, cone.n))
+
+
 class TestLsqBranch:
     def test_normal_equations_match_dense_lstsq(self, spec2, spec3, spec4, rng):
         for spec in (spec2, spec3, spec4):
@@ -288,12 +295,66 @@ class TestLsqBranch:
         # No points on the y2 < 0 side: those basis coefficients are free,
         # and both solvers must leave them at zero.
         cone = Cone1D(spec3, "RL")
-        rel = np.column_stack([rng.uniform(-0.5, 0.5, 300), rng.uniform(0.01, 0.5, 300)])
-        uvals = cone.eval(rel[:, 1]) + 1e-2 * rng.standard_normal((300, 3))
+        rel, uvals = one_sided_ball(cone, rng)
         got = analysis._lsq_branch(cone, 0.0, rel, uvals)
         ref = dense_lsq_branch(cone, 0.0, rel, uvals)
         assert np.abs(got.minus).max() <= 1e-12
         assert np.abs(got.values - ref.values).max() <= 1e-9 * max(1.0, ref.norm())
+
+
+def linear_misfits(cone, rel, uvals):
+    """Reference for analysis._coarse_misfits: at each coarse angle, rotate
+    the ball, fit b with _lsq_branch and take the RMS misfit of the
+    linearized profile cone(y2) + y1 y2 b_side(y2)."""
+    out = []
+    for theta in analysis._COARSE_THETAS:
+        b = analysis._lsq_branch(cone, theta, rel, uvals)
+        y1, y2 = _rotated_coords(rel, theta)
+        b_side = np.where((y2 >= 0)[:, None], b.plus, b.minus)
+        lin = cone.eval(y2) + (y1 * y2)[:, None] * b_side
+        out.append(np.sqrt(np.mean((uvals - lin) ** 2)))
+    return np.array(out)
+
+
+class TestCoarseScan:
+    @staticmethod
+    def assert_scan_matches(cone, rel, uvals):
+        ref = linear_misfits(cone, rel, uvals)
+        got = analysis._coarse_misfits(cone, analysis._angular_moments(rel, uvals))
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-8 * ref.min()
+        assert np.argmin(got) == np.argmin(ref)
+
+    @staticmethod
+    def profile_values(cone, rel, rng):
+        b = random_branch_vector(cone, rng, scale=rng.uniform(0.01, 0.2))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        prof = ApproximateProfile2D(cone, zero_branch_vector(cone), b, theta)
+        return prof.eval(rel) + 1e-3 * rng.uniform(-1, 1, (len(rel), cone.n))
+
+    def test_random_balls_match_per_angle_scan(self, spec2, spec3, spec4, rng):
+        for spec in (spec2, spec3, spec4):
+            for cone in [c for c in enumerate_cones(spec) if c.connected]:
+                r = rng.uniform(0.2, 1.0)
+                rad = r * np.sqrt(rng.uniform(0.0, 1.0, 400))
+                phi = rng.uniform(0.0, 2.0 * np.pi, 400)
+                rel = np.column_stack([rad * np.cos(phi), rad * np.sin(phi)])
+                self.assert_scan_matches(cone, rel, self.profile_values(cone, rel, rng))
+
+    def test_one_sided_ball(self, spec3, rng):
+        # At theta = 0 the y2 < 0 side is empty, at theta = pi the other one.
+        cone = Cone1D(spec3, "RL")
+        self.assert_scan_matches(cone, *one_sided_ball(cone, rng))
+
+    def test_grid_ball_with_nodes_on_window_edges(self, spec3, rng):
+        # Centred on a node: nodes lie on the y2 = 0 lines at theta = k pi/4,
+        # and the origin node is in the ball.
+        grid = Grid.rectangle(-1, 1, -1, 1, 1 / 16)
+        rel, sel = analysis.ball_nodes(grid, (0.0, 0.0), 0.7)
+        rel = rel[sel]
+        assert np.any(np.all(rel == 0.0, axis=1))
+        for cone in [c for c in enumerate_cones(spec3) if c.connected]:
+            self.assert_scan_matches(cone, rel, self.profile_values(cone, rel, rng))
 
 
 class TestFitCone:
@@ -391,9 +452,21 @@ class TestFitCone:
         counted = lambda cone, b: calls.append(b) or solution_for(cone, b)
         monkeypatch.setattr(exact1d, "solution_for", counted)
         sol = self.profile_n3(spec3_unit)
+        # The coarse misfits are in hand when the angle search starts.
+        calls_for_field = len(calls)
+        calls_before_search = []
+        angle_search = analysis._angle_search
+        spied = lambda *args: calls_before_search.append(len(calls)) or angle_search(*args)
+        monkeypatch.setattr(analysis, "_angle_search", spied)
         fit = analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[Cone1D(spec3_unit, "LL")])
         assert abs(fit.angle - 2.0) <= 2e-3
+        assert calls_before_search == [calls_for_field]
         assert 0 < len(calls) <= 180 // 3
+
+    def test_empty_catalogue(self, spec3_unit):
+        sol = self.profile_n3(spec3_unit)
+        with pytest.raises(InsufficientData, match="empty cone catalogue"):
+            analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[])
 
     def test_one_fit_per_mirror_pair(self, spec3_unit, monkeypatch):
         fitted = []
@@ -466,6 +539,13 @@ class TestRateFit:
             analysis.rate_fit([(0.1, 1.0), (0.2, 2.0), (0.3, 3.0), (0.4, 4.0)])
         with pytest.raises(InsufficientData):
             analysis.rate_fit([(r, r) for r in np.linspace(0.1, 0.5, 6)])
+
+    def test_extreme_radii_do_not_overflow(self):
+        # max / min overflows here; the span is compared in log space.
+        radii = [1e-300, 1e-200, 1e-100, 1.0, 1e308]
+        rf = analysis.rate_fit(list(zip(radii, [1.0, 2.0, 3.0, 4.0, 5.0])))
+        assert rf.preferred == "power"
+        assert np.isnan(rf.log_constant)
 
     def test_csv_json(self, tmp_path):
         rs = np.geomspace(1e-4, 0.5, 9)
