@@ -15,6 +15,8 @@ from .errors import (
     BallOutsideDomain,
     EmptyFreeBoundary,
     InsufficientData,
+    InvalidInput,
+    NonFiniteData,
     NotRegular,
     OutOfDomain,
 )
@@ -45,7 +47,7 @@ def extract_free_boundary(sol: GridSolution2D, k) -> FreeBoundaryCurve:
     """Marching-squares contour of the pair-k separation at the solution's
     default coincidence tolerance."""
     if sol.grid.dimension != 2:
-        raise ValueError("free boundary extraction requires a 2D solution")
+        raise InvalidInput("free boundary extraction requires a 2D solution")
     if not 1 <= k <= sol.n - 1:
         raise EmptyFreeBoundary(f"pair index {k} out of range for N={sol.n}")
     coincidence_tol = default_coincidence_tol(sol)
@@ -130,13 +132,6 @@ def _chain_segments(segments):
     return chains
 
 
-def polyline_csv(curve: FreeBoundaryCurve, path):
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in curve.vertices:
-            fh.write(f"{x:.17g},{y:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # Weiss energy
 
@@ -171,6 +166,8 @@ def weiss(sol: GridSolution2D, center, radii) -> WeissProfile:
     d, h = grid.dimension, grid.h
     center = np.asarray(center, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
+    if not (len(radii) and radii[0] > 0):
+        raise InsufficientData("need at least one radius, all positive")
     # The largest ball holds the others.
     centres, cdist, half_diag = check_ball_inside(grid, center, radii[-1])
     w, f = sol.spec.w, sol.spec.f
@@ -244,6 +241,8 @@ def check_ball_inside(grid: Grid, center, r):
     is within r plus half a cell diagonal) has only active corners.
     Returns the cell centres, their distances to ``center`` and h sqrt(d) / 2."""
     center = np.asarray(center, dtype=float)
+    if not (np.isfinite(center).all() and np.isfinite(r)):
+        raise NonFiniteData(f"ball center {center} and radius {r} must be finite")
     lo = np.asarray(grid.origin)
     hi = lo + grid.h * (np.asarray(grid.shape) - 1)
     if np.any(center - r < lo - 1e-12) or np.any(center + r > hi + 1e-12):
@@ -709,6 +708,8 @@ def rate_fit(series) -> RateFit:
     series = sorted((float(r), float(e)) for r, e in series)
     radii = np.array([r for r, _ in series])
     eps = np.array([e for _, e in series])
+    if not (np.isfinite(radii).all() and np.isfinite(eps).all()):
+        raise NonFiniteData("radii and epsilons must be finite")
     if len(radii) < 5:
         raise InsufficientData("need at least 5 radii")
     if radii.min() <= 0 or np.log(radii.max()) - np.log(radii.min()) < np.log(100.0) - 1e-9:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, cones1d, exact1d, gamesim, solver2d
-from .errors import MembraneError, ScenarioError
+from .errors import InvalidInput, MembraneError, ScenarioError
 from .problem import ProblemSpec, normalize
 
 PIPELINES = ("cones", "solve", "weiss", "blowup", "game", "rate")
@@ -143,13 +143,11 @@ def _build_boundary(cone, boundary, dimension):
 
 
 def _at(pointer, build, *args):
-    """``build(*args)``, with a ValueError or MembraneError it raises reported
-    as a ScenarioError at ``pointer``; a ScenarioError passes unchanged."""
+    """``build(*args)``, with an InvalidInput it raises reported as a
+    ScenarioError at ``pointer``; any other exception propagates."""
     try:
         return build(*args)
-    except ScenarioError:
-        raise
-    except (ValueError, MembraneError) as exc:
+    except InvalidInput as exc:
         raise ScenarioError(f"{pointer}: {exc}") from exc
 
 
@@ -306,10 +304,9 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
                 try:
                     rf = analysis.rate_fit(series)
                     _write_json(out / "rate.json", json.loads(rf.to_json()))
-                    outputs.append("rate.json")
-                except MembraneError as exc:
+                except InvalidInput as exc:
                     _write_json(out / "rate.json", {"skipped": str(exc)})
-                    outputs.append("rate.json")
+                outputs.append("rate.json")
         elif pipeline == "game":
             game = gamesim.membrane_game(spec, grid, gvals)
             _write_json(out / "game_spec.json", game.to_json_obj())

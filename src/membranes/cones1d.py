@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
 from .problem import GroupIndex, ProblemSpec, group_force, normalize
 
 LEFT = "L"
@@ -44,11 +45,11 @@ class Cone1D:
 
     def __post_init__(self):
         if len(self.pattern) != self.spec.n_membranes - 1:
-            raise ValueError(
+            raise InvalidInput(
                 f"pattern length {len(self.pattern)} does not match N={self.spec.n_membranes}"
             )
         if any(c not in (LEFT, POINT, RIGHT) for c in self.pattern):
-            raise ValueError(f"invalid pattern {self.pattern!r}")
+            raise InvalidInput(f"invalid pattern {self.pattern!r}")
         a_minus, a_plus = _coefficients(self.spec, self.pattern)
         object.__setattr__(self, "_a", (a_minus, a_plus))
         object.__setattr__(self, "_cache", {})
@@ -132,15 +133,6 @@ class DegenerateDecomposition:
     cone: Cone1D
     cut_indices: tuple  # 1-based pair indices k with pattern[k-1] == '.'
     groups: tuple  # of (GroupIndex, qpp, Cone1D)
-
-    def reassemble_eval(self, x):
-        """Group sub-cone values plus group quadratics; equals cone.eval(x)."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape + (self.cone.n,))
-        for grp, qpp, sub in self.groups:
-            vals = sub.eval(x) + (0.5 * qpp * x * x)[..., None]
-            out[..., grp.lo - 1 : grp.hi] = vals
-        return out
 
 
 def decompose_degenerate(cone: Cone1D) -> DegenerateDecomposition:

@@ -1,19 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: ``InvalidInput`` (also a
+``ValueError``) and its subclasses for bad input, the other ``MembraneError``
+subclasses for outcomes of valid input (no convergence, no free boundary, a
+violated ordering), and ``ScenarioError`` for a scenario file."""
 
 
 class MembraneError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NondegeneracyViolation(MembraneError):
+class InvalidInput(MembraneError, ValueError):
+    """An argument is out of its domain; the base of every input check."""
+
+
+class NondegeneracyViolation(InvalidInput):
     """Forces are not strictly decreasing."""
 
 
-class InvalidWeight(MembraneError):
+class InvalidWeight(InvalidInput):
     """A membrane weight is not strictly positive."""
 
 
-class NotConnected(MembraneError):
+class NotConnected(InvalidInput):
     """Operation requires a connected cone (no point-only coincidence sets)."""
 
 
@@ -25,7 +32,7 @@ class NoRegionFound(MembraneError):
     """Region iteration for the branch-to-breakpoint map failed to stabilize."""
 
 
-class ZeroVector(MembraneError):
+class ZeroVector(InvalidInput):
     """A nonzero branch vector is required."""
 
 
@@ -41,16 +48,16 @@ class TwoRayViolation(MembraneError):
     """Inter-group coincidence set is not at most two rays at an obtuse angle."""
 
 
-class UnorderedBoundary(MembraneError):
+class UnorderedBoundary(InvalidInput):
     """Dirichlet data violates the ordering constraint on the boundary."""
 
 
-class NonFiniteData(MembraneError):
-    """Weights, forces, Dirichlet data, payoffs or an initial guess contain
-    NaN or infinite values."""
+class NonFiniteData(InvalidInput):
+    """Weights, forces, Dirichlet data, payoffs, an initial guess, a ball or a
+    rate-fit series contain NaN or infinite values."""
 
 
-class EmptyGrid(MembraneError):
+class EmptyGrid(InvalidInput):
     """The grid has no interior nodes to solve for."""
 
 
@@ -58,7 +65,7 @@ class NotConverged(MembraneError):
     """Iteration hit its sweep budget before reaching the tolerance."""
 
 
-class IncompatibleGrids(MembraneError):
+class IncompatibleGrids(InvalidInput):
     """Two solutions do not share a grid and problem spec."""
 
 
@@ -66,23 +73,23 @@ class EmptyFreeBoundary(MembraneError):
     """No free boundary found for the requested membrane pair."""
 
 
-class BallOutsideDomain(MembraneError):
+class BallOutsideDomain(InvalidInput):
     """A quadrature ball is not contained in the computational domain."""
 
 
-class OutOfDomain(MembraneError):
+class OutOfDomain(InvalidInput):
     """Rescaling target exceeds the available domain."""
 
 
-class InsufficientData(MembraneError):
-    """Not enough radii, or too small a span, for a rate fit."""
+class InsufficientData(InvalidInput):
+    """Too few or non-positive radii for a Weiss profile or rate fit, or too narrow a span."""
 
 
 class NotRegular(MembraneError):
     """Field is not approximated by the half-plane cone at the probe ball."""
 
 
-class TooLarge(MembraneError):
+class TooLarge(InvalidInput):
     """Problem size exceeds the limit of an exhaustive oracle."""
 
 

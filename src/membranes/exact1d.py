@@ -16,7 +16,6 @@ follow the segment from a solved anchor to b.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .cones1d import LEFT, RIGHT, Cone1D, DegenerateDecomposition
 from .errors import (
     AsymptoticMismatch,
+    InvalidInput,
     NoRegionFound,
     NotConnected,
     OrderingViolation,
@@ -97,7 +97,7 @@ class BranchVector:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (2 * self.cone.n,):
-            raise ValueError(f"expected {2 * self.cone.n} values, got {v.shape}")
+            raise InvalidInput(f"expected {2 * self.cone.n} values, got {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -234,23 +234,6 @@ class PiecewiseQuadratic1D:
                             issues.append(f"ordering vertex violation pair {i + 1}")
         return issues
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "breakpoints": list(map(float, self.breakpoints)),
-                "coefficients": [[list(map(float, c)) for c in row] for row in self.coeffs],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text, cone=None):
-        obj = json.loads(text) if isinstance(text, str) else text
-        return cls(
-            np.asarray(obj["breakpoints"], dtype=float),
-            np.asarray(obj["coefficients"], dtype=float),
-            cone=cone,
-        )
-
 
 def _sample_points(breakpoints):
     if len(breakpoints) == 0:
@@ -299,9 +282,9 @@ def gamma_to_solution(cone, gamma) -> PiecewiseQuadratic1D:
     n = cone.n
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     if gamma.shape != (n - 1,):
-        raise ValueError(f"expected {n - 1} breakpoints, got {gamma.shape}")
+        raise InvalidInput(f"expected {n - 1} breakpoints, got {gamma.shape}")
     if gamma.size and not np.all(np.isfinite(gamma)):
-        raise ValueError("breakpoints must be finite")
+        raise InvalidInput("breakpoints must be finite")
     if n == 1:
         coeffs = np.array([[[0.5 * cone.spec.f[0], 0.0, 0.0]]])
         w = cone.spec.w
@@ -357,7 +340,7 @@ def solution_to_b(sol: PiecewiseQuadratic1D) -> BranchVector:
     """Read b from the linear coefficients of the two unbounded intervals."""
     cone = sol.cone
     if cone is None:
-        raise ValueError("solution carries no cone reference")
+        raise InvalidInput("solution carries no cone reference")
     scale = max(1.0, float(np.abs(cone.spec.f).max()))
     if (
         np.abs(2.0 * sol.coeffs[:, 0, 0] - 2.0 * cone.a_minus).max() > 1e-8 * scale
@@ -597,7 +580,7 @@ def build_degenerate_profile(
     angles = tuple(float(a) for a in np.atleast_1d(angles))
     harmonics = tuple((float(a), float(b)) for a, b in np.atleast_2d(harmonic_params))
     if len(angles) != m or len(harmonics) != m:
-        raise ValueError(f"expected {m} angles and harmonic parameter pairs")
+        raise InvalidInput(f"expected {m} angles and harmonic parameter pairs")
     profile = DegenerateProfile2D(decomposition, angles, harmonics, rays={})
 
     thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)

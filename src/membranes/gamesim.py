@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteData, NotConverged
+from .errors import InvalidInput, NonFiniteData, NotConverged
 from .projection import isotonic_project_batch
 from .solver2d import BOUNDARY, Grid, _relax, dirichlet_values
 
@@ -104,7 +104,7 @@ def membrane_game(spec, grid, boundary_data) -> GameSpec:
     """Game whose equilibrium solves the discrete membrane problem on the
     grid: unit weights required, per-round costs h^2 f / (2d)."""
     if any(abs(w - 1.0) > 1e-12 for w in spec.weights):
-        raise ValueError("the game interpretation requires unit weights")
+        raise InvalidInput("the game interpretation requires unit weights")
     scale = grid.h**2 / (2.0 * grid.dimension)
     return GameSpec(grid, tuple(scale * f for f in spec.forces), boundary_data)
 
@@ -160,12 +160,15 @@ def monte_carlo_eval(game: GameSpec, values: ValueTable, start_node, tickets, n_
     grid = game.lattice
     n = game.n_tickets
     interior, boundary, nbr, _ = grid.indexing()
+    integer = (int, np.integer)
     distinct = sorted(set(tickets))
-    if not all(1 <= t <= n for t in distinct):
-        raise ValueError(f"tickets {list(tickets)} out of range")
+    if not all(isinstance(t, integer) and 1 <= t <= n for t in distinct):
+        raise InvalidInput(f"tickets {list(tickets)} out of range")
     role = grid.role.ravel()
-    if role[start_node] != 0:
-        raise ValueError("start node must be interior")
+    if not (isinstance(start_node, integer) and 0 <= start_node < len(role)) or role[start_node]:
+        raise InvalidInput("start node must be interior")
+    if not (isinstance(n_walks, integer) and n_walks >= 1):
+        raise InvalidInput(f"n_walks must be a positive integer, got {n_walks}")
     if not distinct:
         return []
     block_start, block_len = _exchange_policy(game, values)

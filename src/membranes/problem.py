@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWeight, NonFiniteData, NondegeneracyViolation
+from .errors import InvalidInput, InvalidWeight, NonFiniteData, NondegeneracyViolation
 
 EQ_TOL = 1e-12
 
@@ -82,7 +82,7 @@ class GroupIndex:
 
     def __post_init__(self):
         if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"invalid group range [{self.lo}, {self.hi}]")
+            raise InvalidInput(f"invalid group range [{self.lo}, {self.hi}]")
 
     def indices(self):
         """0-based numpy index array."""
@@ -112,7 +112,7 @@ def normalize(spec: ProblemSpec) -> ProblemSpec:
 def group_force(spec: ProblemSpec, group: GroupIndex) -> float:
     """Weighted average force over the group, f_I = sum_I w f / sum_I w."""
     if group.hi > spec.n_membranes:
-        raise ValueError(
+        raise InvalidInput(
             f"group [{group.lo}, {group.hi}] exceeds N={spec.n_membranes}"
         )
     idx = group.indices()

@@ -43,6 +43,7 @@ from .errors import (
     EmptyFreeBoundary,
     EmptyGrid,
     IncompatibleGrids,
+    InvalidInput,
     NonFiniteData,
     UnorderedBoundary,
 )
@@ -67,7 +68,7 @@ class Grid:
     def box(lo, hi, h):
         """Box from corner ``lo`` to corner ``hi``; its faces carry the data."""
         shape = tuple(_count(a, b, h) for a, b in zip(lo, hi))
-        role = np.full(shape, BOUNDARY, dtype=np.int8)
+        role = _role_array(shape, BOUNDARY, h)
         role[tuple(slice(1, -1) for _ in shape)] = INTERIOR
         return Grid(len(shape), tuple(float(a) for a in lo), shape, float(h), role)
 
@@ -85,13 +86,13 @@ class Grid:
         x0 = cx - radius - pad
         y0 = cy - radius - pad
         n = _count(x0, cx + radius + pad, h)
+        role = _role_array((n, n), INACTIVE, h)
         xs = x0 + h * np.arange(n)
         ys = y0 + h * np.arange(n)
         dist = np.hypot(xs[:, None] - cx, ys[None, :] - cy)
         inside = dist < radius
         if inside[[0, -1]].any() or inside[:, [0, -1]].any():
-            raise ValueError(f"disk at ({cx}, {cy}) of radius {radius} is not resolved at h={h}")
-        role = np.full((n, n), INACTIVE, dtype=np.int8)
+            raise InvalidInput(f"disk at ({cx}, {cy}) of radius {radius} is not resolved at h={h}")
         role[inside] = INTERIOR
         # Cut nodes: outside neighbors of interior nodes carry Dirichlet data.
         # The edges hold no inside node, so np.roll wraps nothing in.
@@ -124,7 +125,7 @@ class Grid:
             strides = [int(np.prod(self.shape[ax + 1 :])) for ax in range(self.dimension)]
             nbr = np.stack([interior + sign * s for s in strides for sign in (-1, 1)], axis=1)
             if np.any(role[nbr.ravel()] == INACTIVE):
-                raise ValueError("interior node with inactive neighbor")
+                raise InvalidInput("interior node with inactive neighbor")
             red = sum(np.unravel_index(interior, self.shape)) % 2 == 0
             self._cache["indexing"] = (interior, boundary, nbr, red)
         return self._cache["indexing"]
@@ -137,10 +138,21 @@ def cell_corners(d):
 
 
 def _count(lo, hi, h):
+    """Nodes from lo to hi at step h; h > 0 must divide hi - lo >= 0."""
+    if not (0.0 < h < np.inf and lo <= hi):
+        raise InvalidInput(f"need h > 0 and lo <= hi, got h={h} from {lo} to {hi}")
     n = (hi - lo) / h
     if not np.isfinite(n) or abs(n - round(n)) > 1e-9:
-        raise ValueError(f"extent {hi - lo} is not a multiple of h={h}")
+        raise InvalidInput(f"extent {hi - lo} is not a multiple of h={h}")
     return int(round(n)) + 1
+
+
+def _role_array(shape, role, h):
+    """All-``role`` node roles; a shape numpy cannot create is an InvalidInput."""
+    try:
+        return np.full(shape, role, dtype=np.int8)
+    except ValueError as exc:
+        raise InvalidInput(f"the grid at h={h} has too many nodes: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -188,7 +200,7 @@ def dirichlet_values(grid, boundary_data, n):
     else:
         g = np.asarray(boundary_data, dtype=float)
     if g.shape != (len(boundary), n):
-        raise ValueError(f"boundary data shape {g.shape} != {(len(boundary), n)}")
+        raise InvalidInput(f"boundary data shape {g.shape} != {(len(boundary), n)}")
     if not np.isfinite(g).all():
         raise NonFiniteData("boundary data contains NaN or infinite values")
     scale = max(1.0, float(np.abs(g).max()))
@@ -245,6 +257,8 @@ def _relax(grid, gvals, w, load, tol, max_sweeps=None, init=None, after_sweep=No
     ``_error_bound`` <= ``tol`` or after ``max_sweeps`` (default 12 (L/h)^2
     + 1000); calls ``after_sweep(u)`` after each sweep.
     Returns (u, sweep changes, error bound, omega)."""
+    if not tol >= 0.0:
+        raise InvalidInput(f"tol must be a number >= 0, got {tol}")
     n = len(w)
     interior, boundary, nbr, red = grid.indexing()
     u = np.full((grid.n_nodes, n), np.nan)
@@ -312,7 +326,7 @@ def solve(
     ``meta['final_change']`` the last sweep's largest nodal change.
     """
     if not spec.is_normalized:
-        raise ValueError("spec must be normalized (sum w f = 0)")
+        raise InvalidInput("spec must be normalized (sum w f = 0)")
     gvals = dirichlet_values(grid, boundary_data, spec.n_membranes)
     if tol is None:
         L = grid.diameter()
@@ -512,7 +526,7 @@ def check_max_principle(sol_a, sol_b, tol=1e-8) -> MaxPrincipleVerdict:
         raise IncompatibleGrids("solutions do not share a grid and spec")
     bgap = float((sol_a.boundary_values - sol_b.boundary_values).min())
     if bgap < -1e-12:
-        raise ValueError("boundary of sol_a is not above boundary of sol_b")
+        raise InvalidInput("boundary of sol_a is not above boundary of sol_b")
     interior, _, _, _ = ga.indexing()
     gap = sol_a.u[interior] - sol_b.u[interior]
     worst = float(gap.min())
@@ -527,6 +541,8 @@ def free_boundary_points(sol, k):
     offset sqrt(d / c) along the gradient of the separation, where
     c = (f_k - f_{k+1}) / 2 is the detachment coefficient.
     """
+    if not 1 <= k <= sol.n - 1:
+        raise EmptyFreeBoundary(f"pair index {k} out of range for N={sol.n}")
     coincidence_tol = default_coincidence_tol(sol)
     grid = sol.grid
     interior, _, nbr, _ = grid.indexing()

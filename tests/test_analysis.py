@@ -7,6 +7,7 @@ from membranes.errors import (
     BallOutsideDomain,
     EmptyFreeBoundary,
     InsufficientData,
+    NonFiniteData,
     NotRegular,
     OutOfDomain,
 )
@@ -72,15 +73,6 @@ class TestExtraction:
         sol = field_solution(spec2, g, lambda p: np.column_stack([np.ones(len(p)), -np.ones(len(p))]))
         with pytest.raises(EmptyFreeBoundary):
             analysis.extract_free_boundary(sol, 1)
-
-    def test_polyline_csv(self, spec2, tmp_path):
-        p0 = Cone1D(spec2, "L")
-        g = Grid.rectangle(-1, 1, -1, 1, 1 / 32)
-        sol = field_solution(spec2, g, p0.eval_2d)
-        fb = analysis.extract_free_boundary(sol, 1)
-        path = tmp_path / "fb.csv"
-        analysis.polyline_csv(fb, path)
-        assert path.read_text().startswith("x,y\n")
 
 
 class TestWeiss:
@@ -148,6 +140,18 @@ class TestWeiss:
         sol = field_solution(spec2, g, p0.eval_2d)
         with pytest.raises(BallOutsideDomain):
             analysis.weiss(sol, (0.8, 0.0), [0.5])
+
+    @pytest.mark.parametrize(
+        "center, radii, error",
+        [((0, 0), [], InsufficientData), ((0, 0), [0.0, 0.3], InsufficientData),
+         ((0, 0), [0.3, np.nan], NonFiniteData), ((np.nan, 0), [0.3], NonFiniteData)],
+        ids=["no-radii", "zero-radius", "nan-radius", "nan-center"],
+    )
+    def test_bad_balls(self, spec2, center, radii, error):
+        g = Grid.rectangle(-1, 1, -1, 1, 1 / 8)
+        sol = field_solution(spec2, g, Cone1D(spec2, "L").eval_2d)
+        with pytest.raises(error):
+            analysis.weiss(sol, center, radii)
 
     def test_ball_inside_interval(self):
         g = Grid.interval(-1, 1, 1 / 8)
@@ -539,6 +543,16 @@ class TestRateFit:
             analysis.rate_fit([(0.1, 1.0), (0.2, 2.0), (0.3, 3.0), (0.4, 4.0)])
         with pytest.raises(InsufficientData):
             analysis.rate_fit([(r, r) for r in np.linspace(0.1, 0.5, 6)])
+
+    @pytest.mark.parametrize(
+        "column, value", [(1, np.nan), (0, np.nan), (1, np.inf)],
+        ids=["nan-epsilon", "nan-radius", "inf-epsilon"],
+    )
+    def test_non_finite(self, column, value):
+        series = [[r, r**0.5] for r in np.geomspace(1e-4, 0.5, 9)]
+        series[3][column] = value
+        with pytest.raises(NonFiniteData):
+            analysis.rate_fit(series)
 
     def test_extreme_radii_do_not_overflow(self):
         # max / min overflows here; the span is compared in log space.

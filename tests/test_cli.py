@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import membranes
-from membranes import cli
-from membranes.errors import ScenarioError
+from membranes import cli, solver2d
+from membranes.errors import NoRegionFound, ScenarioError
 
 
 def write_scenario(tmp_path, name, obj):
@@ -341,6 +341,19 @@ class TestMain:
         assert cli.main(argv) == 2
         assert not out.exists()
         assert f"scenario error at {pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [ValueError, NoRegionFound])
+    def test_main_preflight_bug_propagates_without_outputs(self, tmp_path, monkeypatch, error):
+        # Only an InvalidInput is a scenario error; anything else is a bug.
+        def broken(*args):
+            raise error("bug")
+
+        monkeypatch.setattr(solver2d, "dirichlet_values", broken)
+        scen = write_scenario(tmp_path, "s.json", SOLVE)
+        out = tmp_path / "o"
+        with pytest.raises(error, match="bug"):
+            cli.main(["solve", "--scenario", str(scen), "--out", str(out)])
+        assert not out.exists()
 
     def test_main_rejects_repeated_probe_without_outputs(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, "g.json", dict(GAME, probes=[[4, 4], [3, 4], [4, 4]]))

@@ -128,7 +128,9 @@ class TestDecomposition:
         xs = np.linspace(-3, 3, 25)
         for cone in enumerate_cones(spec4):
             dec = decompose_degenerate(cone)
-            assert np.abs(dec.reassemble_eval(xs) - cone.eval(xs)).max() <= 1e-12
+            # Group sub-cone values plus group quadratics give the cone.
+            parts = [sub.eval(xs) + 0.5 * qpp * xs[:, None] ** 2 for _, qpp, sub in dec.groups]
+            assert np.abs(np.hstack(parts) - cone.eval(xs)).max() <= 1e-12
             for _, _, sub in dec.groups:
                 assert sub.connected
 

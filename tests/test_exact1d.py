@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from membranes.errors import (
 from membranes.exact1d import (
     ApproximateProfile2D,
     BranchVector,
-    PiecewiseQuadratic1D,
     asymmetry,
     b_to_gamma,
     branch_space_basis,
@@ -399,15 +397,6 @@ class TestPiecewiseQuadratic:
         b = random_branch_vector(cone, rng, 1.0)
         sol = solution_for(cone, b)
         assert sol.validate(tol=1e-10) == []
-
-    def test_json_round_trip(self, spec3, rng):
-        cone = Cone1D(spec3, "RR")
-        sol = solution_for(cone, random_branch_vector(cone, rng, 0.8))
-        text = sol.to_json()
-        obj = json.loads(text)
-        assert "breakpoints" in obj and "coefficients" in obj
-        back = PiecewiseQuadratic1D.from_json(text, cone=cone)
-        assert np.abs(back.eval(XS) - sol.eval(XS)).max() <= 1e-15
 
 
 class TestDegenerateProfile:

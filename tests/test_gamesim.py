@@ -3,7 +3,13 @@ import pytest
 
 from membranes import gamesim, solver2d
 from membranes.cones1d import Cone1D
-from membranes.errors import EmptyGrid, NonFiniteData, NotConverged, UnorderedBoundary
+from membranes.errors import (
+    EmptyGrid,
+    InvalidInput,
+    NonFiniteData,
+    NotConverged,
+    UnorderedBoundary,
+)
 from membranes.exact1d import random_branch_vector, solution_for
 from membranes.problem import ProblemSpec, normalize
 from membranes.projection import isotonic_project_batch
@@ -205,6 +211,12 @@ class TestBellman:
         with pytest.raises(NotConverged):
             gamesim.bellman_solve(game, tol=1e-14, max_iters=3)
 
+    def test_nan_tol_rejected(self, spec2):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        game = gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2))
+        with pytest.raises(InvalidInput):
+            gamesim.bellman_solve(game, tol=np.nan)
+
     def test_unordered_payoffs_rejected(self):
         grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
         nb = len(grid.indexing()[1])
@@ -280,6 +292,13 @@ class TestMonteCarlo:
                 gamesim.monte_carlo_eval(game, vt, int(itr[0]), tickets, 10, seed=1)
         with pytest.raises(ValueError):
             gamesim.monte_carlo_eval(game, vt, int(bnd[0]), [1], 10, seed=1)
+        # A fractional ticket, a start past the last node or counted from the
+        # end (an interior node), and no walks.
+        start = int(itr[0])
+        for node, tickets, n_walks in ((start, [1.5], 10), (grid.n_nodes, [1], 10),
+                                       (start - grid.n_nodes, [1], 10), (start, [1], 0)):
+            with pytest.raises(InvalidInput):
+                gamesim.monte_carlo_eval(game, vt, node, tickets, n_walks, seed=1)
 
 
 class TestSharedWalks:

@@ -11,6 +11,7 @@ from membranes.errors import (
     EmptyFreeBoundary,
     EmptyGrid,
     IncompatibleGrids,
+    InvalidInput,
     NonFiniteData,
     UnorderedBoundary,
 )
@@ -283,6 +284,26 @@ class TestBadInput:
         with pytest.raises(EmptyGrid):
             solver2d.solve(spec2, make(), lambda p: np.zeros((len(p), 2)))
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Grid.interval(0, 1, 0.0), lambda: Grid.interval(0, 1, -0.25),
+         lambda: Grid.interval(1, 0, 0.25), lambda: Grid.disk(0, 0, -1, 1 / 16),
+         # Node counts past numpy's limits: rejected before any allocation.
+         lambda: Grid.interval(0, 0.0625, 1e-300), lambda: Grid.rectangle(0, 1, 0, 1, 2.0**-34),
+         lambda: Grid.disk(0, 0, 1, 2.0**-34)],
+        ids=["h-zero", "h-negative", "hi-below-lo", "disk-negative-radius", "interval-too-long",
+             "rectangle-too-many-nodes", "disk-too-many-nodes"],
+    )
+    def test_bad_grid(self, make):
+        with pytest.raises(InvalidInput):
+            make()
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_bad_tol(self, spec2, tol):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        with pytest.raises(InvalidInput):
+            solver2d.solve(spec2, g, lambda p: np.zeros((len(p), 2)), tol=tol)
+
 
 class TestResidual:
     def test_weighted_identity_and_regions(self, spec3, rng):
@@ -394,6 +415,14 @@ class TestQuadraticGrowth:
         sol = GridSolution2D(g, spec2, vals, vals[g.indexing()[1]])
         with pytest.raises(EmptyFreeBoundary):
             solver2d.quadratic_growth_probe(sol, 1, [0.1])
+
+    @pytest.mark.parametrize("k", [-1, 0, 3])
+    def test_pair_index_out_of_range(self, spec3, k):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        vals = np.zeros((g.n_nodes, 3))
+        sol = GridSolution2D(g, spec3, vals, vals[g.indexing()[1]])
+        with pytest.raises(EmptyFreeBoundary, match="out of range"):
+            solver2d.quadratic_growth_probe(sol, k, [0.1])
 
 
 class TestSerialization:
