@@ -5,7 +5,6 @@ convergence-rate model fitting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,18 +339,16 @@ class FitResult:
     b_ratio: float  # |b| / sqrt(epsilon), the achieved delta of the fit class
     degenerate: bool = False
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "cone": self.cone_id,
-                "angle": self.angle,
-                "b": None if self.b is None else list(self.b.values),
-                "epsilon": self.epsilon,
-                "radius": self.radius,
-                "b_ratio": self.b_ratio,
-                "degenerate": self.degenerate,
-            }
-        )
+    def as_dict(self):
+        return {
+            "cone": self.cone_id,
+            "angle": self.angle,
+            "b": None if self.b is None else list(self.b.values),
+            "epsilon": self.epsilon,
+            "radius": self.radius,
+            "b_ratio": self.b_ratio,
+            "degenerate": self.degenerate,
+        }
 
 
 _MIRROR = str.maketrans("LR", "RL")
@@ -577,12 +574,18 @@ def fit_cone(sol: GridSolution2D, center, radius, catalogue=None) -> FitResult:
     field turned by pi, and the angle search covers [0, 2 pi), so each
     mirror pair is fitted once and reported as its first member in
     catalogue order.  Deterministic given the search schedule.  Raises
-    InsufficientData for an empty catalogue.
+    InsufficientData for an empty catalogue and InvalidInput for a radius
+    that is not finite and positive or a cone of another N.
     """
+    if not (np.isfinite(radius) and radius > 0):
+        raise InvalidInput(f"fit radius {radius} must be finite and positive")
     if catalogue is None:
         catalogue = enumerate_cones(sol.spec)
     if not catalogue:
         raise InsufficientData("empty cone catalogue")
+    for cone in catalogue:
+        if cone.n != sol.spec.n_membranes:
+            raise InvalidInput(f"cone {cone.pattern!r} has N={cone.n}, not {sol.spec.n_membranes}")
     rel, sel = ball_nodes(sol.grid, center, radius)
     rel, uvals = rel[sel], sol.u[sel]
     moments = _angular_moments(rel, uvals)
@@ -687,17 +690,15 @@ class RateFit:
             for r, e in zip(self.radii, self.epsilons):
                 fh.write(f"{r:.17g},{e:.17g}\n")
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "log_constant": self.log_constant,
-                "log_residual": self.log_residual,
-                "power_constant": self.power_constant,
-                "power_alpha": self.power_alpha,
-                "power_residual": self.power_residual,
-                "preferred": self.preferred,
-            }
-        )
+    def as_dict(self):
+        return {
+            "log_constant": self.log_constant,
+            "log_residual": self.log_residual,
+            "power_constant": self.power_constant,
+            "power_alpha": self.power_alpha,
+            "power_residual": self.power_residual,
+            "preferred": self.preferred,
+        }
 
 
 def rate_fit(series) -> RateFit:

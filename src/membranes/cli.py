@@ -294,7 +294,7 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
                 for r in sorted(scenario["radii"], reverse=True):
                     fit = analysis.fit_cone(sol, center, float(r), catalogue=catalogue)
                     series.append((float(r), fit.epsilon))
-                    fits.append(json.loads(fit.to_json()))
+                    fits.append(fit.as_dict())
                 with open(out / "blowup.csv", "w") as fh:
                     fh.write("r,epsilon\n")
                     for r, e in series:
@@ -303,7 +303,7 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
                 outputs += ["blowup.csv", "blowup.json"]
                 try:
                     rf = analysis.rate_fit(series)
-                    _write_json(out / "rate.json", json.loads(rf.to_json()))
+                    _write_json(out / "rate.json", rf.as_dict())
                 except InvalidInput as exc:
                     _write_json(out / "rate.json", {"skipped": str(exc)})
                 outputs.append("rate.json")
@@ -347,7 +347,7 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
             outputs += ["game.json", "game.csv"]
         elif pipeline == "rate":
             rf = analysis.rate_fit(scenario["series"])
-            _write_json(out / "rate.json", json.loads(rf.to_json()))
+            _write_json(out / "rate.json", rf.as_dict())
             rf.to_csv(out / "rate.csv")
             outputs += ["rate.json", "rate.csv"]
     except MembraneError as exc:

@@ -9,9 +9,10 @@ weighted average yields the solution.  The linear coefficients of the two
 unbounded intervals form the branch vector b, the constant coefficients the
 error function e(b).  The breakpoint-to-branch map is linear on each region
 of fixed sort order and globally invertible, which is how solution_for
-inverts it: region iteration, then continuation.  Solve in a candidate
-region, re-identify the region from the result, repeat; if that fails,
-follow the segment from a solved anchor to b.
+inverts it, by one loop: region iteration (solve in a candidate region,
+re-identify the region from the result, repeat) at targets along the
+segment from a solved anchor to b.  The first step goes straight to b; the
+anchor is built only when that step fails.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .cones1d import LEFT, RIGHT, Cone1D, DegenerateDecomposition
 from .errors import (
     AsymptoticMismatch,
     InvalidInput,
+    NonFiniteData,
     NoRegionFound,
     NotConnected,
     OrderingViolation,
@@ -98,6 +100,8 @@ class BranchVector:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (2 * self.cone.n,):
             raise InvalidInput(f"expected {2 * self.cone.n} values, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise NonFiniteData("branch vector values must be finite")
         object.__setattr__(self, "values", v)
 
     @property
@@ -145,6 +149,8 @@ def zero_branch_vector(cone):
 
 def random_branch_vector(cone, rng, scale=1.0):
     """Uniform direction in B(p) scaled to ``scale``; zero for N=1."""
+    if not np.isfinite(scale):
+        raise NonFiniteData(f"scale {scale} must be finite")
     basis = branch_space_basis(cone)
     if basis.shape[1] == 0:
         return zero_branch_vector(cone)
@@ -177,8 +183,8 @@ class PiecewiseQuadratic1D:
 
     breakpoints: np.ndarray
     coeffs: np.ndarray
-    cone: Cone1D = None
-    gamma: np.ndarray = None
+    cone: Cone1D
+    gamma: np.ndarray
 
     @property
     def n(self):
@@ -209,11 +215,10 @@ class PiecewiseQuadratic1D:
             ds = 2.0 * (cl[:, 0] - cr[:, 0]) * x + (cl[:, 1] - cr[:, 1])
             if np.abs(dv).max() > tol * scale or np.abs(ds).max() > tol * scale:
                 issues.append(f"C1 mismatch at breakpoint {x}")
-        if self.cone is not None:
-            w = self.cone.spec.w
-            wavg = np.einsum("i,ijk->jk", w, self.coeffs) / w.sum()
-            if np.abs(wavg).max() > tol * scale:
-                issues.append("weighted average of coefficients is nonzero")
+        w = self.cone.spec.w
+        wavg = np.einsum("i,ijk->jk", w, self.coeffs) / w.sum()
+        if np.abs(wavg).max() > tol * scale:
+            issues.append("weighted average of coefficients is nonzero")
         xs = _sample_points(self.breakpoints)
         vals = self.eval(xs)
         diffs = vals[:, :-1] - vals[:, 1:]
@@ -243,24 +248,17 @@ def _sample_points(breakpoints):
 
 
 def _interval_curvatures(cone, xs, gamma):
-    """Second derivative of each membrane on each interval (group forces)."""
+    """Second derivative of each membrane on each interval (group forces).
+    With gamma[m] = xs[pos[m]], pair m is in contact on interval j, which
+    spans (xs[j-1], xs[j]), when pos[m] < j for 'R' and pos[m] >= j for 'L'."""
     n = cone.n
-    spec = cone.spec
-    n_int = len(xs) + 1
-    mids = np.empty(n_int)
-    if n_int == 1:
-        mids[0] = 0.0
-    else:
-        mids[0] = xs[0] - 1.0
-        mids[-1] = xs[-1] + 1.0
-        mids[1:-1] = 0.5 * (xs[:-1] + xs[1:])
-    g = np.empty((n, n_int))
-    w, f = spec.w, spec.f
-    for j, mid in enumerate(mids):
+    w, f = cone.spec.w, cone.spec.f
+    pos = np.searchsorted(xs, gamma)
+    g = np.empty((n, len(xs) + 1))
+    for j in range(len(xs) + 1):
         lo = 0
         for m in range(n - 1):
-            side = cone.pattern[m]
-            active = (side == RIGHT and mid > gamma[m]) or (side == LEFT and mid < gamma[m])
+            active = pos[m] < j if cone.pattern[m] == RIGHT else pos[m] >= j
             if not active:
                 g[lo : m + 1, j] = w[lo : m + 1] @ f[lo : m + 1] / w[lo : m + 1].sum()
                 lo = m + 1
@@ -268,14 +266,23 @@ def _interval_curvatures(cone, xs, gamma):
     return g
 
 
+def _value_slope(c, x):
+    """Value and slope at x of the quadratic with coefficients c = (c2, c1, c0)."""
+    c2, c1, c0 = c
+    return c2 * x * x + c1 * x + c0, 2.0 * c2 * x + c1
+
+
 def gamma_to_solution(cone, gamma) -> PiecewiseQuadratic1D:
     """Assemble the global solution with free boundary of pair k at gamma[k].
 
     Branch-following construction: membrane 1 is anchored at gamma[0] with
-    zero value and slope, each next membrane copies the previous one's value
-    and slope at its shared free boundary, second derivatives per interval
-    are the active group forces, and the weighted average is subtracted at
-    the end.  Any real gamma is admissible; ties just merge breakpoints.
+    zero value and slope, each next membrane at its shared free boundary with
+    the previous one's value and slope there.  One march fills the intervals
+    outward from the anchor, leftward then rightward, each from the C^1 data
+    of its neighbour towards the anchor (or of the anchor itself), with the
+    active group forces as second derivatives.  The weighted average is
+    subtracted at the end.  Any real gamma is admissible; ties just merge
+    breakpoints.
     """
     if not cone.connected:
         raise NotConnected(f"cone {cone.pattern!r} is not connected")
@@ -295,41 +302,21 @@ def gamma_to_solution(cone, gamma) -> PiecewiseQuadratic1D:
     n_int = len(xs) + 1
     g = _interval_curvatures(cone, xs, gamma)
     coeffs = np.empty((n, n_int, 3))
-
-    anchor_x = gamma[0]
-    anchor_v = 0.0
-    anchor_s = 0.0
+    pos = np.searchsorted(xs, gamma)
+    av = aslope = 0.0
     for i in range(n):
+        ax, k = gamma[max(i - 1, 0)], int(pos[max(i - 1, 0)])  # the anchor, xs[k]
         if i > 0:
-            anchor_x = gamma[i - 1]
-            # C^1 data of the previous membrane at the shared free boundary.
-            k = int(np.searchsorted(xs, anchor_x))
-            c2, c1, c0 = coeffs[i - 1, k]
-            anchor_v = c2 * anchor_x * anchor_x + c1 * anchor_x + c0
-            anchor_s = 2.0 * c2 * anchor_x + c1
-        k = int(np.searchsorted(xs, anchor_x))
-        # Rightward from the anchor.
-        cx, cv, cs = anchor_x, anchor_v, anchor_s
-        for j in range(k + 1, n_int):
+            av, aslope = _value_slope(coeffs[i - 1, k], ax)
+        for j in [*range(k, -1, -1), *range(k + 1, n_int)]:
+            if j in (k, k + 1):
+                cx, cv, cs = ax, av, aslope
+            else:
+                prev = j + 1 if j < k else j - 1
+                cx = xs[min(j, prev)]
+                cv, cs = _value_slope(coeffs[i, prev], cx)
             gj = g[i, j]
             coeffs[i, j] = (0.5 * gj, cs - gj * cx, cv - cs * cx + 0.5 * gj * cx * cx)
-            if j < n_int - 1:
-                nx = xs[j]
-                c2, c1, c0 = coeffs[i, j]
-                cv = c2 * nx * nx + c1 * nx + c0
-                cs = 2.0 * c2 * nx + c1
-                cx = nx
-        # Leftward from the anchor.
-        cx, cv, cs = anchor_x, anchor_v, anchor_s
-        for j in range(k, -1, -1):
-            gj = g[i, j]
-            coeffs[i, j] = (0.5 * gj, cs - gj * cx, cv - cs * cx + 0.5 * gj * cx * cx)
-            if j > 0:
-                nx = xs[j - 1]
-                c2, c1, c0 = coeffs[i, j]
-                cv = c2 * nx * nx + c1 * nx + c0
-                cs = 2.0 * c2 * nx + c1
-                cx = nx
 
     w = cone.spec.w
     coeffs -= (np.einsum("i,ijk->jk", w, coeffs) / w.sum())[None, :, :]
@@ -339,8 +326,6 @@ def gamma_to_solution(cone, gamma) -> PiecewiseQuadratic1D:
 def solution_to_b(sol: PiecewiseQuadratic1D) -> BranchVector:
     """Read b from the linear coefficients of the two unbounded intervals."""
     cone = sol.cone
-    if cone is None:
-        raise InvalidInput("solution carries no cone reference")
     scale = max(1.0, float(np.abs(cone.spec.f).max()))
     if (
         np.abs(2.0 * sol.coeffs[:, 0, 0] - 2.0 * cone.a_minus).max() > 1e-8 * scale
@@ -388,8 +373,7 @@ def _solve_in_region(cone, sigma, bvec):
 
 
 def _roundtrip(cone, gamma, bvec, tol):
-    """The solution at ``gamma`` if it maps back to ``bvec`` within ``tol``
-    (a NaN residual fails the comparison), else None."""
+    """The solution at ``gamma`` if it maps back to ``bvec`` within ``tol``, else None."""
     sol = gamma_to_solution(cone, gamma)
     if float(np.abs(solution_to_b(sol).values - bvec).max()) <= tol:
         return sol
@@ -397,29 +381,27 @@ def _roundtrip(cone, gamma, bvec, tol):
 
 
 def b_to_gamma(cone, b):
-    """Invert the breakpoint map by region iteration, then continuation: the
-    gamma of ``solution_for``, with solution_to_b(gamma_to_solution) equal to b."""
+    """The breakpoints of ``solution_for(cone, b)``, with
+    solution_to_b(gamma_to_solution) equal to b."""
     return solution_for(cone, b).gamma
 
 
 def solution_for(cone, b) -> PiecewiseQuadratic1D:
-    """The global solution h(., b), by region iteration, then continuation.
+    """The global solution h(., b), by region iteration along a continuation.
 
-    Region iteration starts from the identity order; if it fails, segment
-    continuation from a solved anchor follows (Allgower & Georg 1990,
-    *Numerical Continuation Methods*).  Every candidate is accepted only by
-    its round-trip residual, and the solution built for that check is returned.
+    One loop (``_continuation``): its first step tries b itself from the
+    identity order; on failure it follows the segment from a solved anchor
+    to b (Allgower & Georg 1990, *Numerical Continuation Methods*).  Every
+    candidate is accepted only by its round-trip residual, and the solution
+    built for that check is returned.  A b of the wrong length raises
+    InvalidInput, a non-finite one NonFiniteData.
     """
     if not cone.connected:
         raise NotConnected(f"cone {cone.pattern!r} is not connected")
-    bvec = b.values if isinstance(b, BranchVector) else np.asarray(b, dtype=float)
-    d = cone.n - 1
-    if d == 0:
+    bvec = (b if isinstance(b, BranchVector) else BranchVector(cone, b)).values
+    if cone.n == 1:
         return gamma_to_solution(cone, np.empty(0))
-    tol = 1e-10 * max(1.0, float(np.abs(bvec).max()))
-    sol = _iterate_regions(cone, tuple(range(d)), bvec, tol)
-    if sol is None:
-        sol = _continuation(cone, bvec)
+    sol = _continuation(cone, bvec)
     if sol is None:
         raise NoRegionFound(
             f"region iteration and continuation failed for cone {cone.pattern!r}; the map is "
@@ -444,22 +426,26 @@ def _iterate_regions(cone, sigma, bvec, tol):
 
 
 def _continuation(cone, bvec):
-    """Region iteration along the segment from the b of an increasing gamma to
-    ``bvec``, halving the step on failure; the solution at ``bvec``, else None."""
+    """Region iteration at targets on the segment from the b of an increasing
+    gamma (the anchor, built only if needed) to ``bvec``: first ``bvec`` itself
+    from the identity order, then steps of at most 1/4, halved on failure,
+    each from the order of the last solved target.  The solution at ``bvec``, else None."""
     d = cone.n - 1
-    anchor_b = solution_to_b(gamma_to_solution(cone, np.arange(d, dtype=float))).values
+    anchor_b = None
     sigma = tuple(range(d))
-    t, step = 0.0, 0.25
+    t, step = 0.0, 1.0
     for _ in range(2048):
         tn = min(1.0, t + step)
-        target = (1.0 - tn) * anchor_b + tn * bvec
+        if tn < 1.0 and anchor_b is None:
+            anchor_b = solution_to_b(gamma_to_solution(cone, np.arange(d, dtype=float))).values
+        target = bvec if tn == 1.0 else (1.0 - tn) * anchor_b + tn * bvec
         cand = _iterate_regions(cone, sigma, target, 1e-10 * max(1.0, np.abs(target).max()))
         if cand is None:
-            step *= 0.5
+            step = min(0.25, 0.5 * step)
             if step < 1e-6:
                 return None
             continue
-        if tn == 1.0:  # the target was bvec, checked at solution_for's tol
+        if tn == 1.0:
             return cand
         t, step = tn, min(0.25, step * 2.0)
         sigma = tuple(int(i) for i in np.argsort(cand.gamma, kind="stable"))
@@ -468,7 +454,7 @@ def _continuation(cone, bvec):
 
 def asymmetry(cone, b):
     """|e(b) - e(-b)| / |b|^2; zero exactly on the translation line."""
-    bvec = b if isinstance(b, BranchVector) else BranchVector(cone, np.asarray(b, float))
+    bvec = b if isinstance(b, BranchVector) else BranchVector(cone, b)
     nrm = bvec.norm()
     if nrm == 0.0:
         raise ZeroVector("asymmetry requires b != 0")
@@ -517,16 +503,11 @@ class ApproximateProfile2D:
             if zero.any():
                 out[zero] = self.cone.eval(y2[zero])
         else:
+            # One solution per distinct y1, evaluated on that y1's points.
             order = np.argsort(y1, kind="stable")
-            last_t = None
-            sol = None
-            for idx in order:
-                t = y1[idx]
-                if sol is None or t != last_t:
-                    sol = solution_for(
-                        self.cone, BranchVector(self.cone, self.b0.values + t * self.b1.values)
-                    )
-                    last_t = t
+            ts, starts = np.unique(y1[order], return_index=True)
+            for t, idx in zip(ts, np.split(order, starts[1:])):
+                sol = solution_for(self.cone, self.b0.values + t * self.b1.values)
                 out[idx] = sol.eval(y2[idx])
         return out[0] if single else out
 

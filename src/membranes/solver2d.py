@@ -36,8 +36,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     EmptyFreeBoundary,
@@ -211,6 +209,11 @@ def dirichlet_values(grid, boundary_data, n):
 
 def _harmonic_extension(grid, gvals, n):
     """Discrete harmonic extension of the boundary data, one field per membrane."""
+    # Imported here, not at module level: scipy.sparse is half the time of
+    # `import membranes.cli`, and the cones and rate pipelines never solve.
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     interior, boundary, nbr, _ = grid.indexing()
     m = len(interior)
     pos = np.full(grid.n_nodes, -1, dtype=int)

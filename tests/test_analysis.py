@@ -7,6 +7,7 @@ from membranes.errors import (
     BallOutsideDomain,
     EmptyFreeBoundary,
     InsufficientData,
+    InvalidInput,
     NonFiniteData,
     NotRegular,
     OutOfDomain,
@@ -472,6 +473,17 @@ class TestFitCone:
         with pytest.raises(InsufficientData, match="empty cone catalogue"):
             analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[])
 
+    @pytest.mark.parametrize("radius", [0.0, -0.3, np.nan, np.inf])
+    def test_bad_radius(self, spec3_unit, radius):
+        sol = self.profile_n3(spec3_unit)
+        with pytest.raises(InvalidInput, match="radius"):
+            analysis.fit_cone(sol, (0, 0), radius)
+
+    def test_catalogue_of_another_n(self, spec2, spec3_unit):
+        sol = self.profile_n3(spec3_unit)
+        with pytest.raises(InvalidInput, match="N=2"):
+            analysis.fit_cone(sol, (0, 0), 0.6, catalogue=[Cone1D(spec2, "L")])
+
     def test_one_fit_per_mirror_pair(self, spec3_unit, monkeypatch):
         fitted = []
         fit_connected = analysis._fit_connected
@@ -514,6 +526,13 @@ class TestRegularPointProbe:
         for k, angle in report.tangent_angles.items():
             delta = abs(angle - expected)
             assert min(delta, np.pi - delta) <= 0.05, k
+
+    @pytest.mark.parametrize("radius", [0.0, np.nan])
+    def test_bad_radius(self, spec2, radius):
+        g = Grid.rectangle(-1, 1, -1, 1, 1 / 8)
+        sol = field_solution(spec2, g, Cone1D(spec2, "L").eval_2d)
+        with pytest.raises(InvalidInput, match="radius"):
+            analysis.regular_point_probe(sol, (0, 0), radius=radius)
 
     def test_degenerate_not_regular(self, spec2):
         dec = decompose_degenerate(Cone1D(spec2, "."))
@@ -566,4 +585,4 @@ class TestRateFit:
         rf = analysis.rate_fit(list(zip(rs, 1.0 / (-np.log(rs)))))
         rf.to_csv(tmp_path / "rate.csv")
         assert (tmp_path / "rate.csv").read_text().startswith("r,epsilon\n")
-        assert "preferred" in rf.to_json()
+        assert "preferred" in rf.as_dict()

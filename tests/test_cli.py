@@ -1,6 +1,10 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,14 @@ from hypothesis import strategies as st
 import membranes
 from membranes import cli, solver2d
 from membranes.errors import NoRegionFound, ScenarioError
+
+
+def test_import_does_not_load_scipy():
+    # Only a solve needs scipy's sparse LU; the cones and rate pipelines do not.
+    code = "import sys, membranes.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(membranes.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def write_scenario(tmp_path, name, obj):

@@ -6,6 +6,8 @@ import pytest
 from membranes import exact1d, solver2d
 from membranes.cones1d import Cone1D, decompose_degenerate, enumerate_cones
 from membranes.errors import (
+    InvalidInput,
+    NonFiniteData,
     NotConnected,
     OrderingViolation,
     TwoRayViolation,
@@ -95,6 +97,13 @@ class TestGammaToSolution:
                 g = rng.uniform(-3, 3, 3)
                 sol = gamma_to_solution(cone, g)
                 assert sol.validate() == []
+
+    def test_far_breakpoints_keep_their_contacts(self, spec3):
+        # xs[0] - 1 rounds to xs[0] here, so a midpoint contact test would
+        # put interval 0 on the wrong side of pair 1.
+        sol = gamma_to_solution(Cone1D(spec3, "LR"), np.array([1e17, 3e17]))
+        assert sol.validate() == []
+        assert solution_to_b(sol).is_member()
 
     def test_ties_merge_breakpoints(self, spec3):
         cone = Cone1D(spec3, "RL")
@@ -187,6 +196,24 @@ class TestBToGamma:
         monkeypatch.setattr(exact1d, "gamma_to_solution", counted)
         solution_for(cone, b)
         assert len(builds) == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("call", [solution_for, error_function, asymmetry])
+    @pytest.mark.parametrize(
+        "values, error",
+        [(np.ones(4), InvalidInput), ([np.nan] + [0.0] * 5, NonFiniteData),
+         ([np.inf, -np.inf] + [0.0] * 4, NonFiniteData)],
+        ids=["short", "nan", "inf"],
+    )
+    def test_bad_b(self, spec3, call, values, error):
+        with pytest.raises(error):
+            call(Cone1D(spec3, "LR"), np.array(values))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale(self, spec3, rng, scale):
+        with pytest.raises(NonFiniteData):
+            random_branch_vector(Cone1D(spec3, "LR"), rng, scale)
 
 
 class TestHEval:
