@@ -78,14 +78,9 @@ class GameSpec:
     def n_tickets(self):
         return len(self.costs)
 
-    def to_json_obj(self):
+    def as_dict(self):
         return {
-            "lattice": {
-                "dimension": self.lattice.dimension,
-                "origin": list(self.lattice.origin),
-                "shape": list(self.lattice.shape),
-                "h": self.lattice.h,
-            },
+            "lattice": self.lattice.as_dict(),
             "costs": list(self.costs),
             "payoffs": [list(row) for row in self.payoffs],
         }
@@ -114,7 +109,8 @@ def bellman_solve(game: GameSpec, tol=1e-13, max_iters=None) -> ValueTable:
     mean over neighbors of v_j minus the round cost, reallocated onto the
     ordered cone; boundary rows stay at the exit payoffs.  Computed with the
     grid solver's projected SOR sweep, stopped once its error estimate is
-    at most ``tol`` (else NotConverged) or after ``max_iters`` sweeps.
+    at most ``tol`` (else NotConverged) or after ``max_iters`` sweeps, an
+    integer >= 1.
     ``meta``: ``iterations`` (sweeps), ``residual`` (last sweep change),
     ``error_bound``."""
     grid = game.lattice

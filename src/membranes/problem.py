@@ -9,7 +9,6 @@ works with normalized instances only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +61,11 @@ class ProblemSpec:
             wf = float(self.w @ self.f)
         return abs(wf) <= EQ_TOL * max(1.0, float(np.abs(self.f).max()))
 
-    def to_json(self):
-        return json.dumps(
-            {"n": self.n_membranes, "weights": list(self.weights), "forces": list(self.forces)}
-        )
+    def as_dict(self):
+        return {"n": self.n_membranes, "weights": list(self.weights), "forces": list(self.forces)}
 
     @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text) if isinstance(text, str) else text
+    def from_dict(cls, obj):
         return cls(int(obj["n"]), tuple(obj["weights"]), tuple(obj["forces"]))
 
 

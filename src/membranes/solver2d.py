@@ -18,7 +18,9 @@ reaches exact stagnation where over-relaxed sweeps would keep moving nodes
 by an ulp.  The weighted membrane sum is made exactly harmonic at
 initialization, which removes the slowest error mode.
 
-One sweep loop, ``_relax``, serves ``solve`` (load h^2 f) and
+One sweep generator, ``_sweeps``, yields the field after every sweep, and
+one stopping loop, ``_relax``, consumes it until the error estimate meets
+``tol`` or the sweep cap is reached.  They serve ``solve`` (load h^2 f) and
 ``gamesim.bellman_solve`` (unit weights, load 2d times the round costs): an
 over-relaxed sweep of that monotone map has the fixed point of its Jacobi
 form, value iteration (Bertsekas & Tsitsiklis 1989, sec. 3.2).
@@ -111,6 +113,11 @@ class Grid:
     def diameter(self):
         pts = self.coords()[self.role.ravel() != INACTIVE]
         return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+    def as_dict(self):
+        """Dimension, origin, shape and h, as the JSON headers record a grid."""
+        return {"dimension": self.dimension, "origin": list(self.origin),
+                "shape": list(self.shape), "h": self.h}
 
     def indexing(self):
         """Interior/boundary flat indices, neighbor table and red-black split."""
@@ -253,39 +260,28 @@ def _error_bound(changes, window=20):
     return a / (1.0 - rho) if rho < 1.0 else np.inf
 
 
-def _relax(grid, gvals, w, load, tol, max_sweeps=None, init=None, after_sweep=None):
+def _sweeps(grid, gvals, w, load, omega, init=None):
     """Projected SOR for u = proj_w((sum of the neighbors' u - load) / 2d) at
     interior nodes, boundary rows held at ``gvals``, from ``init`` (interior
-    rows or a full field) or the harmonic extension, projected.  Stops once
-    ``_error_bound`` <= ``tol`` or after ``max_sweeps`` (default 12 (L/h)^2
-    + 1000); calls ``after_sweep(u)`` after each sweep.
-    Returns (u, sweep changes, error bound, omega)."""
-    if not tol >= 0.0:
-        raise InvalidInput(f"tol must be a number >= 0, got {tol}")
+    rows) or the harmonic extension, projected.  Yields (u, change) after
+    every red-black sweep, with u updated in place and change the sweep's
+    largest nodal change; never stops by itself."""
     n = len(w)
     interior, boundary, nbr, red = grid.indexing()
     u = np.full((grid.n_nodes, n), np.nan)
     u[boundary] = gvals
-    if init is None:
-        u[interior] = _harmonic_extension(grid, gvals, n)
-    else:
-        init = np.asarray(init, dtype=float)
-        u[interior] = init if init.shape == (len(interior), n) else init[interior]
-        if not np.isfinite(u[interior]).all():
-            raise NonFiniteData("initial guess contains NaN or infinite values")
-    u[interior] = isotonic_project_batch(u[interior], w)
+    init = _harmonic_extension(grid, gvals, n) if init is None else np.asarray(init, dtype=float)
+    if init.shape != (len(interior), n):
+        raise InvalidInput(f"initial guess shape {init.shape} != {(len(interior), n)}")
+    if not np.isfinite(init).all():
+        raise NonFiniteData("the starting field contains NaN or infinite values")
+    u[interior] = isotonic_project_batch(init, w)
 
-    L = grid.diameter()
-    if max_sweeps is None:
-        max_sweeps = int(np.ceil(12.0 * (L / grid.h) ** 2)) + 1000
     inv2d = 1.0 / (2.0 * grid.dimension)
     colors = ((nbr[red], interior[red]), (nbr[~red], interior[~red]))
-    omega = 2.0 / (1.0 + np.sin(np.pi * grid.h / L))
     relax = omega - 1.0
     floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.nanmax(np.abs(u))))
-    changes = []
-    bound = np.inf
-    while len(changes) < max_sweeps:
+    while True:
         change = 0.0
         for cn, ci in colors:
             old = u[ci]
@@ -295,15 +291,30 @@ def _relax(grid, gvals, w, load, tol, max_sweeps=None, init=None, after_sweep=No
             unew = isotonic_project_batch(uhat + relax * (uhat - old), w)
             change = max(change, float(np.abs(unew - old).max()))
             u[ci] = unew
-        changes.append(change)
-        if after_sweep is not None:
-            after_sweep(u)
+        yield u, change
         if change <= floor:  # rounding level: finish with omega = 1
             relax = 0.0
+
+
+def _relax(grid, gvals, w, load, tol, max_sweeps=None, init=None):
+    """Run ``_sweeps`` with omega = 2 / (1 + sin(pi h / L)) until
+    ``_error_bound`` <= ``tol`` or for ``max_sweeps``, an integer >= 1
+    (default 12 (L/h)^2 + 1000).  Returns (u, sweep changes, error bound,
+    omega)."""
+    if not tol >= 0.0:
+        raise InvalidInput(f"tol must be a number >= 0, got {tol}")
+    L = grid.diameter()
+    if max_sweeps is None:
+        max_sweeps = int(np.ceil(12.0 * (L / grid.h) ** 2)) + 1000
+    elif not (isinstance(max_sweeps, (int, np.integer)) and max_sweeps >= 1):
+        raise InvalidInput(f"the sweep cap must be an integer >= 1, got {max_sweeps!r}")
+    omega = 2.0 / (1.0 + np.sin(np.pi * grid.h / L))
+    changes = []
+    for u, change in _sweeps(grid, gvals, w, load, omega, init):
+        changes.append(change)
         bound = _error_bound(changes)
-        if bound <= tol:
-            break
-    return u, changes, bound, omega
+        if bound <= tol or len(changes) == max_sweeps:
+            return u, changes, bound, omega
 
 
 def solve(
@@ -313,17 +324,18 @@ def solve(
     tol=None,
     max_sweeps=None,
     init=None,
-    track_energy=False,
 ) -> GridSolution2D:
     """Minimize the constrained energy by projected SOR sweeps.
 
-    Stops when ``meta['error_bound']``, an estimate of the sup distance to
-    the discrete solution, is at most ``tol`` (default 1e-10 * max|f| *
-    diameter^2), or at ``max_sweeps``; ``meta['converged']`` says whether it
-    got there.  The estimate is a / (1 - rho), with a the largest nodal
-    change over the last 20 sweeps and rho the per-sweep contraction of
-    that maximum against the 20 sweeps before; it is 0 after a sweep that
-    changes nothing and infinite before 40 sweeps.  It extrapolates the
+    Starts from ``init``, (n_interior, N) rows as ``prolong`` returns them,
+    or from the harmonic extension of the data.  Stops when
+    ``meta['error_bound']``, an estimate of the sup distance to the discrete
+    solution, is at most ``tol`` (default 1e-10 * max|f| * diameter^2), or
+    after ``max_sweeps`` sweeps, an integer >= 1; ``meta['converged']`` says
+    whether it got there.  The estimate is a / (1 - rho), with a the largest
+    nodal change over the last 20 sweeps and rho the per-sweep contraction
+    of that maximum against the 20 sweeps before; it is 0 after a sweep
+    that changes nothing and infinite before 40 sweeps.  It extrapolates the
     observed contraction and is not a certified bound.  ``tol=0`` runs to
     exact stagnation.  ``meta['omega']`` is the over-relaxation factor and
     ``meta['final_change']`` the last sweep's largest nodal change.
@@ -334,20 +346,16 @@ def solve(
     if tol is None:
         L = grid.diameter()
         tol = 1e-10 * max(float(np.abs(spec.f).max()), 1e-30) * L * L
-    energies = []
-    track = (lambda u: energies.append(_energy_flat(grid, spec, u))) if track_energy else None
     load = grid.h * grid.h * spec.f
-    u, changes, bound, omega = _relax(grid, gvals, spec.w, load, tol, max_sweeps, init, track)
+    u, changes, bound, omega = _relax(grid, gvals, spec.w, load, tol, max_sweeps, init)
     meta = {
         "sweeps": len(changes),
         "converged": bool(bound <= tol),
-        "final_change": changes[-1] if changes else np.inf,
+        "final_change": changes[-1],
         "error_bound": bound,
         "omega": omega,
         "tol": tol,
     }
-    if track_energy:
-        meta["energy_trace"] = energies
     return GridSolution2D(grid, spec, u, gvals.copy(), meta=meta)
 
 
@@ -385,7 +393,9 @@ def prolong(sol: GridSolution2D, fine_grid: Grid):
     return sol.interp(fine_grid.coords()[interior])
 
 
-def _energy_flat(grid, spec, u):
+def energy(grid, spec, u):
+    """Discrete constrained Dirichlet energy of the (n_nodes, N) field u,
+    which every sweep of ``_sweeps`` leaves no larger."""
     interior = grid.indexing()[0]
     h, d = grid.h, grid.dimension
     w, f = spec.w, spec.f
@@ -402,11 +412,6 @@ def _energy_flat(grid, spec, u):
         e += 0.5 * float(((diff * diff) @ w).sum()) * h**d
     e += float(((u[interior] * f) @ w).sum()) * h**d
     return e
-
-
-def energy(sol: GridSolution2D):
-    """Discrete constrained Dirichlet energy of the solution."""
-    return _energy_flat(sol.grid, sol.spec, sol.u)
 
 
 @dataclass
@@ -630,19 +635,13 @@ def save_solution_csv(sol: GridSolution2D, csv_path, header_path):
             wtr.writerow(row)
     rep = residual(sol)
     header = {
-        "grid": {
-            "dimension": sol.grid.dimension,
-            "origin": list(sol.grid.origin),
-            "shape": list(sol.grid.shape),
-            "h": sol.grid.h,
-        },
-        "spec": json.loads(sol.spec.to_json()),
+        "grid": sol.grid.as_dict(),
+        "spec": sol.spec.as_dict(),
         "residual": asdict(rep),
         # Strict JSON has no Infinity: an error bound not yet estimated is null.
         "meta": {
             k: None if isinstance(v, float) and not np.isfinite(v) else v
             for k, v in sol.meta.items()
-            if not isinstance(v, list)
         },
     }
     with open(header_path, "w") as fh:

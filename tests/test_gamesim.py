@@ -211,6 +211,13 @@ class TestBellman:
         with pytest.raises(NotConverged):
             gamesim.bellman_solve(game, tol=1e-14, max_iters=3)
 
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.5])
+    def test_bad_max_iters(self, spec2, max_iters):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        game = gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2))
+        with pytest.raises(InvalidInput):
+            gamesim.bellman_solve(game, max_iters=max_iters)
+
     def test_nan_tol_rejected(self, spec2):
         grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
         game = gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2))

@@ -161,8 +161,7 @@ class TestSubtractAverage:
 
 
 def test_json_round_trip(spec3):
-    text = spec3.to_json()
-    obj = json.loads(text)
+    obj = json.loads(json.dumps(spec3.as_dict()))
     assert obj["n"] == 3
-    back = ProblemSpec.from_json(text)
+    back = ProblemSpec.from_dict(obj)
     assert back == spec3

@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ def ordered_random_boundary(spec, rng, amp=0.3):
         return np.column_stack(rows[::-1])
 
     return data
+
+
+def solver_sweeps(spec, grid, data):
+    """The fields ``solve`` passes through, one per sweep, with its own omega."""
+    first = solver2d.solve(spec, grid, data, max_sweeps=1)
+    load = grid.h * grid.h * spec.f
+    return solver2d._sweeps(grid, first.boundary_values, spec.w, load, first.meta["omega"])
 
 
 class TestGrid:
@@ -162,9 +170,21 @@ class TestSolve:
             (Grid.interval(-1, 1, 1 / 16), lambda p: cone.eval(p[:, 0] - 0.21), 400),
         ]
         for g, data, sweeps in cases:
-            sol = solver2d.solve(spec3, g, data, max_sweeps=sweeps, track_energy=True)
-            tr = sol.meta["energy_trace"]
+            fields = islice(solver_sweeps(spec3, g, data), sweeps)
+            tr = [solver2d.energy(g, spec3, u) for u, _ in fields]
             assert all(tr[i + 1] <= tr[i] + 1e-12 for i in range(len(tr) - 1)), g.dimension
+
+    def test_stop_adds_no_arithmetic(self, spec3, rng):
+        # solve after k sweeps returns the k-th field the sweep generator yields.
+        cases = [
+            (Grid.rectangle(0, 1, 0, 1, 1 / 8), ordered_random_boundary(spec3, rng), 37),
+            (Grid.disk(0, 0, 0.5, 1 / 16), ordered_random_boundary(spec3, rng), 45),
+        ]
+        for g, data, k in cases:
+            sol = solver2d.solve(spec3, g, data, max_sweeps=k)
+            u, _ = next(islice(solver_sweeps(spec3, g, data), k - 1, None))
+            assert sol.meta["sweeps"] == k
+            assert np.array_equal(sol.u, u, equal_nan=True)
 
     def test_ordering_exact_every_node(self, spec3, rng):
         g = Grid.rectangle(0, 1, 0, 1, 1 / 16)
@@ -235,11 +255,11 @@ class TestOverRelaxation:
         forces = np.cumsum(rng.uniform(0.2, 2.0, n))[::-1]
         spec = normalize(ProblemSpec(n, tuple(rng.uniform(0.3, 3.0, n)), tuple(forces)))
         g = Grid.rectangle(0, 1, 0, 1, 1 / cells)
-        sol = solver2d.solve(spec, g, ordered_random_boundary(spec, rng), tol=0.0,
-                             max_sweeps=sweeps, track_energy=True)
         itr = g.indexing()[0]
-        assert (sol.u[itr][:, :-1] - sol.u[itr][:, 1:]).min() >= 0.0
-        tr = sol.meta["energy_trace"]
+        tr = []
+        for u, _ in islice(solver_sweeps(spec, g, ordered_random_boundary(spec, rng)), sweeps):
+            assert (u[itr][:, :-1] - u[itr][:, 1:]).min() >= 0.0
+            tr.append(solver2d.energy(g, spec, u))
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
 
     def test_max_sweeps_not_converged_has_no_bound(self, spec2, rng):
@@ -267,6 +287,20 @@ class TestBadInput:
 
         with pytest.raises(NonFiniteData):
             solver2d.solve(spec2, g, bad)
+
+    @pytest.mark.parametrize("rows", [5, 81], ids=["five-rows", "every-node"])
+    def test_init_of_wrong_shape(self, spec2, rng, rows):
+        # Only (n_interior, N) = (49, 2) fits; 81 is the full field's row count.
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        init = np.zeros((rows, 2))
+        with pytest.raises(InvalidInput):
+            solver2d.solve(spec2, g, ordered_random_boundary(spec2, rng), init=init)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1, 2.5])
+    def test_bad_max_sweeps(self, spec2, rng, max_sweeps):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        with pytest.raises(InvalidInput):
+            solver2d.solve(spec2, g, ordered_random_boundary(spec2, rng), max_sweeps=max_sweeps)
 
     def test_non_finite_init(self, spec2, rng):
         g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
