@@ -310,15 +310,13 @@ def monotonicity_check(profile: WeissProfile, c_q) -> MonotonicityVerdict:
 
 def blowup_rescale(sol: GridSolution2D, r) -> GridSolution2D:
     """Resample r^{-2} u(r x) onto the box [-1, 1]^d at the solution's grid
-    step."""
+    step, for a finite r > 0 whose box lies in the stored one (else
+    OutOfDomain)."""
+    if not 0.0 < r < np.inf:
+        raise InvalidInput(f"the rescaling radius must be finite and > 0, got {r}")
     g = sol.grid
     target_grid = Grid.box((-1,) * g.dimension, (1,) * g.dimension, g.h)
-    pts = target_grid.coords() * r
-    lo = np.asarray(g.origin)
-    hi = lo + g.h * (np.asarray(g.shape) - 1)
-    if np.any(pts < lo - 1e-12) or np.any(pts > hi + 1e-12):
-        raise OutOfDomain(f"rescaling by {r} leaves the stored domain")
-    vals = sol.interp(pts) / r**2
+    vals = sol.interp(target_grid.coords() * r) / r**2
     if not np.all(np.isfinite(vals)):
         raise OutOfDomain(f"rescaling by {r} touches inactive nodes")
     _, boundary, _, _ = target_grid.indexing()
@@ -706,7 +704,10 @@ def rate_fit(series) -> RateFit:
 
     Purely descriptive: reports both residuals and the preferred model.
     """
-    series = sorted((float(r), float(e)) for r, e in series)
+    try:
+        series = sorted((float(r), float(e)) for r, e in series)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"the series must hold (r, epsilon) pairs of numbers: {exc}") from exc
     radii = np.array([r for r, _ in series])
     eps = np.array([e for _, e in series])
     if not (np.isfinite(radii).all() and np.isfinite(eps).all()):

@@ -316,10 +316,13 @@ def run(scenario_path, out_dir, seed=None, tol=None, command=None):
             _write_json(out / "game_spec.json", game.as_dict())
             outputs.append("game_spec.json")
             t0 = time.perf_counter()
-            bellman_tol = tol if tol is not None else scenario.get("tol", 1e-13)
-            tolerances["bellman_tol"] = bellman_tol
-            vt = gamesim.bellman_solve(game, tol=bellman_tol, max_iters=scenario.get("max_sweeps"))
+            vt = gamesim.bellman_solve(
+                game,
+                tol=tol if tol is not None else scenario.get("tol"),
+                max_iters=scenario.get("max_sweeps"),
+            )
             timings["bellman_s"] = time.perf_counter() - t0
+            tolerances["bellman_tol"] = vt.meta["tol"]
             records = []
             n_walks = scenario["n_walks"]
             tickets = scenario.get("tickets", [1])

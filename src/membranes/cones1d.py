@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .problem import GroupIndex, ProblemSpec, group_force, normalize
+from .problem import GroupIndex, ProblemSpec, group_force, normalize, pooled_forces, pooled_groups
 
 LEFT = "L"
 POINT = "."
@@ -25,15 +25,7 @@ RIGHT = "R"
 
 def _side_groups(pattern, side):
     """Maximal contiguous 1-based groups coinciding on the given side."""
-    n = len(pattern) + 1
-    groups = []
-    lo = 1
-    for m in range(1, n):
-        if pattern[m - 1] != side:
-            groups.append(GroupIndex(lo, m))
-            lo = m + 1
-    groups.append(GroupIndex(lo, n))
-    return tuple(groups)
+    return tuple(GroupIndex(lo + 1, hi) for lo, hi in pooled_groups([c == side for c in pattern]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +93,7 @@ class Cone1D:
 
 
 def _coefficients(spec, pattern):
-    n = spec.n_membranes
-    out = []
-    for side in (LEFT, RIGHT):
-        a = np.empty(n)
-        for grp in _side_groups(pattern, side):
-            a[grp.indices()] = 0.5 * group_force(spec, grp)
-        out.append(a)
-    return tuple(out)
+    return tuple(0.5 * pooled_forces(spec, [c == side for c in pattern]) for side in (LEFT, RIGHT))
 
 
 def enumerate_cones(spec: ProblemSpec):
@@ -139,19 +124,12 @@ def decompose_degenerate(cone: Cone1D) -> DegenerateDecomposition:
     """Group decomposition of any cone; connected cones give one group."""
     spec = cone.spec
     cuts = tuple(k + 1 for k, c in enumerate(cone.pattern) if c == POINT)
-    bounds = [0] + list(cuts) + [cone.n]
     groups = []
-    for lo0, hi0 in zip(bounds[:-1], bounds[1:]):
-        grp = GroupIndex(lo0 + 1, hi0)
+    for lo, hi in pooled_groups([c != POINT for c in cone.pattern]):
+        grp = GroupIndex(lo + 1, hi)
         qpp = group_force(spec, grp)
-        idx = grp.indices()
-        sub_spec = ProblemSpec(
-            len(grp),
-            tuple(spec.w[idx]),
-            tuple(spec.f[idx] - qpp),
-        )
-        sub_pattern = cone.pattern[lo0 : hi0 - 1]
-        groups.append((grp, qpp, Cone1D(sub_spec, sub_pattern)))
+        sub_spec = ProblemSpec(hi - lo, tuple(spec.w[lo:hi]), tuple(spec.f[lo:hi] - qpp))
+        groups.append((grp, qpp, Cone1D(sub_spec, cone.pattern[lo : hi - 1])))
     return DegenerateDecomposition(cone, cuts, tuple(groups))
 
 

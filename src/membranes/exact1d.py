@@ -32,23 +32,11 @@ from .errors import (
     TwoRayViolation,
     ZeroVector,
 )
-from .problem import subtract_average
+from .problem import pooled_forces, pooled_groups, subtract_average
 
 
 # ---------------------------------------------------------------------------
 # Branch space B(p)
-
-
-def _branch_ids(cone):
-    """Per-membrane branch index on each side; left groups first."""
-    lg, rg = cone.left_groups(), cone.right_groups()
-    minus = np.empty(cone.n, dtype=int)
-    plus = np.empty(cone.n, dtype=int)
-    for gi, grp in enumerate(lg):
-        minus[grp.indices()] = gi
-    for gi, grp in enumerate(rg):
-        plus[grp.indices()] = len(lg) + gi
-    return minus, plus, len(lg) + len(rg)
 
 
 def _null_basis(weights):
@@ -68,23 +56,17 @@ def branch_space_basis(cone):
     if "basis" not in cache:
         if not cone.connected:
             raise NotConnected(f"cone {cone.pattern!r} is not connected")
-        n = cone.n
-        w = cone.spec.w
-        minus_id, plus_id, _ = _branch_ids(cone)
-        cols = []
-        for side_groups, side_ids, offset in (
-            (cone.left_groups(), minus_id, 0),
-            (cone.right_groups(), plus_id, n),
-        ):
-            gw = np.array([w[g.indices()].sum() for g in side_groups])
-            nb = _null_basis(gw)
-            for j in range(nb.shape[1]):
-                vec = np.zeros(2 * n)
-                branch_vals = nb[:, j]
-                ids = side_ids - (0 if offset == 0 else len(cone.left_groups()))
-                vec[offset : offset + n] = branch_vals[ids]
-                cols.append(vec)
-        cache["basis"] = np.column_stack(cols) if cols else np.zeros((2 * n, 0))
+        n, w = cone.n, cone.spec.w
+        sides = []
+        for side in (LEFT, RIGHT):
+            groups = pooled_groups([c == side for c in cone.pattern])
+            ids = np.repeat(np.arange(len(groups)), [hi - lo for lo, hi in groups])
+            sides.append(_null_basis([w[lo:hi].sum() for lo, hi in groups])[ids])
+        minus, plus = sides
+        k = minus.shape[1]
+        basis = np.zeros((2 * n, k + plus.shape[1]))
+        basis[:n, :k], basis[n:, k:] = minus, plus
+        cache["basis"] = basis
     return cache["basis"]
 
 
@@ -248,22 +230,21 @@ def _sample_points(breakpoints):
 
 
 def _interval_curvatures(cone, xs, gamma):
-    """Second derivative of each membrane on each interval (group forces).
-    With gamma[m] = xs[pos[m]], pair m is in contact on interval j, which
-    spans (xs[j-1], xs[j]), when pos[m] < j for 'R' and pos[m] >= j for 'L'."""
-    n = cone.n
-    w, f = cone.spec.w, cone.spec.f
-    pos = np.searchsorted(xs, gamma)
-    g = np.empty((n, len(xs) + 1))
-    for j in range(len(xs) + 1):
-        lo = 0
-        for m in range(n - 1):
-            active = pos[m] < j if cone.pattern[m] == RIGHT else pos[m] >= j
-            if not active:
-                g[lo : m + 1, j] = w[lo : m + 1] @ f[lo : m + 1] / w[lo : m + 1].sum()
-                lo = m + 1
-        g[lo:n, j] = w[lo:n] @ f[lo:n] / w[lo:n].sum()
-    return g
+    """Second derivative of each membrane on each interval: the forces pooled
+    over the interval's contact groups.  With gamma[m] = xs[pos[m]], pair m is
+    in contact on interval j, which spans (xs[j-1], xs[j]), when pos[m] < j
+    for 'R' and pos[m] >= j for 'L'.  Each column is cached on the cone under
+    its contact mask, since a cone has at most 2^(N-1) of them."""
+    right = np.array([c == RIGHT for c in cone.pattern])
+    joined = (np.searchsorted(xs, gamma) < np.arange(len(xs) + 1)[:, None]) == right
+    cache = cone._cache
+    cols = []
+    for mask in joined:
+        key = ("pooled", mask.tobytes())
+        if key not in cache:
+            cache[key] = pooled_forces(cone.spec, mask)
+        cols.append(cache[key])
+    return np.column_stack(cols)
 
 
 def _value_slope(c, x):

@@ -104,21 +104,23 @@ def membrane_game(spec, grid, boundary_data) -> GameSpec:
     return GameSpec(grid, tuple(scale * f for f in spec.forces), boundary_data)
 
 
-def bellman_solve(game: GameSpec, tol=1e-13, max_iters=None) -> ValueTable:
+def bellman_solve(game: GameSpec, tol=None, max_iters=None) -> ValueTable:
     """Fixed point of the exchange update: interior continuation vectors,
     mean over neighbors of v_j minus the round cost, reallocated onto the
     ordered cone; boundary rows stay at the exit payoffs.  Computed with the
     grid solver's projected SOR sweep, stopped once its error estimate is
-    at most ``tol`` (else NotConverged) or after ``max_iters`` sweeps, an
-    integer >= 1.
+    at most ``tol`` (default 1e-13; else NotConverged) or after
+    ``max_iters`` sweeps, an integer >= 1.
     ``meta``: ``iterations`` (sweeps), ``residual`` (last sweep change),
-    ``error_bound``."""
+    ``error_bound``, ``tol``."""
+    if tol is None:
+        tol = 1e-13
     grid = game.lattice
     load = 2.0 * grid.dimension * np.asarray(game.costs)
     v, changes, bound, _ = _relax(grid, game.payoffs, np.ones(game.n_tickets), load, tol, max_iters)
     if not bound <= tol:
         raise NotConverged(f"value iteration error bound {bound:.3e} > tol {tol:.3e}")
-    meta = {"iterations": len(changes), "residual": changes[-1], "error_bound": bound}
+    meta = {"iterations": len(changes), "residual": changes[-1], "error_bound": bound, "tol": tol}
     return ValueTable(game, v, meta=meta)
 
 

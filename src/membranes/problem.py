@@ -5,6 +5,13 @@ A problem instance is a number of membranes N, strictly positive weights
 normalization the weighted force sum vanishes, so the weighted sum of the
 membranes is harmonic and can be subtracted off pointwise; every other module
 works with normalized instances only.
+
+One pooling rule serves every module that splits the membranes into maximal
+coincidence groups (the 1D cones, the global solutions and the grid
+residual): ``pooled_groups`` turns a per-pair contact mask into the groups'
+index ranges, and ``pooled_forces`` gives each membrane its group force
+f_I = sum_I w f / sum_I w, the pooling of the weighted isotonic projection
+(Robertson, Wright & Dykstra 1988).
 """
 
 from __future__ import annotations
@@ -114,6 +121,22 @@ def group_force(spec: ProblemSpec, group: GroupIndex) -> float:
     idx = group.indices()
     w = spec.w[idx]
     return float(w @ spec.f[idx] / w.sum())
+
+
+def pooled_groups(joined):
+    """Maximal coincidence groups as 0-based half-open ranges (lo, hi), where
+    ``joined[m]`` ties membrane m to m + 1; N = len(joined) + 1."""
+    bounds = [0, *(m + 1 for m, tie in enumerate(joined) if not tie), len(joined) + 1]
+    return tuple(zip(bounds[:-1], bounds[1:]))
+
+
+def pooled_forces(spec: ProblemSpec, joined):
+    """Per-membrane group force f_I over the groups of ``pooled_groups(joined)``."""
+    w, f = spec.w, spec.f
+    out = np.empty(spec.n_membranes)
+    for lo, hi in pooled_groups(joined):
+        out[lo:hi] = w[lo:hi] @ f[lo:hi] / w[lo:hi].sum()
+    return out
 
 
 def subtract_average(fields, weights):

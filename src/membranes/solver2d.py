@@ -45,9 +45,10 @@ from .errors import (
     IncompatibleGrids,
     InvalidInput,
     NonFiniteData,
+    OutOfDomain,
     UnorderedBoundary,
 )
-from .problem import ProblemSpec
+from .problem import ProblemSpec, pooled_groups
 from .projection import isotonic_project_batch
 
 INTERIOR, BOUNDARY, INACTIVE = 0, 1, 2
@@ -179,10 +180,17 @@ class GridSolution2D:
         return self.u.reshape(self.grid.shape + (self.n,))
 
     def interp(self, points):
-        """Multilinear interpolation at points inside the domain."""
+        """Multilinear interpolation at points of the stored box (with 1e-12
+        slack); a non-finite point raises NonFiniteData, one outside the box
+        OutOfDomain."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         g = self.grid
-        t = (pts - np.asarray(g.origin)) / g.h
+        lo = np.asarray(g.origin)
+        if not np.isfinite(pts).all():
+            raise NonFiniteData("interpolation points must be finite")
+        if np.any(pts < lo - 1e-12) or np.any(pts > lo + g.h * (np.asarray(g.shape) - 1) + 1e-12):
+            raise OutOfDomain("an interpolation point lies outside the stored box")
+        t = (pts - lo) / g.h
         i0 = np.clip(np.floor(t).astype(int), 0, np.asarray(g.shape) - 2)
         frac = t - i0
         vals = self.fields()
@@ -197,7 +205,8 @@ class GridSolution2D:
 
 def dirichlet_values(grid, boundary_data, n):
     """(n_boundary, N) Dirichlet values from an array or a callable of the
-    boundary node coordinates; must be finite and ordered."""
+    boundary node coordinates; must be finite, with a finite spread, and
+    ordered."""
     _, boundary, _, _ = grid.indexing()
     pts = grid.coords()[boundary]
     if callable(boundary_data):
@@ -208,6 +217,9 @@ def dirichlet_values(grid, boundary_data, n):
         raise InvalidInput(f"boundary data shape {g.shape} != {(len(boundary), n)}")
     if not np.isfinite(g).all():
         raise NonFiniteData("boundary data contains NaN or infinite values")
+    # Python floats overflow to inf without the warning a numpy subtraction emits.
+    if not np.isfinite(float(g.max()) - float(g.min())):
+        raise NonFiniteData("the spread of the boundary data is not a finite number")
     scale = max(1.0, float(np.abs(g).max()))
     if n > 1 and (g[:, :-1] - g[:, 1:]).min() < -1e-10 * scale:
         raise UnorderedBoundary("boundary data violates the ordering constraint")
@@ -245,18 +257,21 @@ def _harmonic_extension(grid, gvals, n):
     return np.column_stack([lu.solve(rhs[:, k]) for k in range(n)])
 
 
-def _error_bound(changes, window=20):
+_WINDOW = 20  # sweeps per window of ``_error_bound``
+
+
+def _error_bound(changes):
     """Estimated sup distance to the discrete solution from the sweep changes:
-    a / (1 - rho), with a the largest change of the last ``window`` sweeps and
+    a / (1 - rho), with a the largest change of the last ``_WINDOW`` sweeps and
     rho the per-sweep contraction against the largest of the window before.
     Windowed maxima because over-relaxed changes oscillate; 0 once a sweep
     changes nothing, infinite before two windows exist or without contraction."""
     if changes[-1] == 0.0:
         return 0.0
-    if len(changes) < 2 * window:
+    if len(changes) < 2 * _WINDOW:
         return np.inf
-    a = max(changes[-window:])
-    rho = (a / max(changes[-2 * window : -window])) ** (1.0 / window)
+    a = max(changes[-_WINDOW:])
+    rho = (a / max(changes[-2 * _WINDOW : -_WINDOW])) ** (1.0 / _WINDOW)
     return a / (1.0 - rho) if rho < 1.0 else np.inf
 
 
@@ -469,9 +484,9 @@ def residual(sol: GridSolution2D) -> ResidualReport:
     for lab in np.unique(labels):
         mask = labels == lab
         lap_l = lap[mask]
-        groups = _label_groups(int(lab), n)
+        joined = [int(lab) >> m & 1 for m in range(n - 1)]
         worst = 0.0
-        for lo, hi in groups:
+        for lo, hi in pooled_groups(joined):
             ww = w[lo:hi]
             wsum = ww.sum()
             f_i = float(ww @ f[lo:hi] / wsum)
@@ -487,7 +502,7 @@ def residual(sol: GridSolution2D) -> ResidualReport:
                 fs = float(ws @ f[cut:hi] / ws.sum())
                 ls = lap_l[:, cut:hi] @ ws / ws.sum()
                 kkt = max(kkt, float(np.maximum(fs - ls, 0.0).max()))
-        key = "".join("=" if lab >> m & 1 else "<" for m in range(n - 1))
+        key = "".join("=" if tie else "<" for tie in joined)
         region_residuals[key] = worst
 
     ordering_ok = bool(n == 1 or (ui[:, :-1] - ui[:, 1:]).min() >= -1e-12)
@@ -500,18 +515,6 @@ def residual(sol: GridSolution2D) -> ResidualReport:
         max_abs_laplacian=float(np.abs(lap).max()) if len(lap) else 0.0,
         coincidence_tol=default_coincidence_tol(sol),
     )
-
-
-def _label_groups(label, n):
-    """Maximal coincidence groups (0-based half-open) encoded by the bitmask."""
-    groups = []
-    lo = 0
-    for m in range(n - 1):
-        if not label >> m & 1:
-            groups.append((lo, m + 1))
-            lo = m + 1
-    groups.append((lo, n))
-    return groups
 
 
 @dataclass

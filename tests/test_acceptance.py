@@ -13,7 +13,7 @@ import pytest
 from membranes import analysis, exact1d, gamesim, solver2d
 from membranes.cones1d import Cone1D, decompose_degenerate, enumerate_cones
 from membranes.errors import NotRegular
-from membranes.problem import ProblemSpec, normalize
+from membranes.problem import ProblemSpec, normalize, pooled_groups
 from membranes.projection import isotonic_project_batch, qp_oracle_project
 from membranes.solver2d import Grid, GridSolution2D
 
@@ -238,7 +238,7 @@ def test_criterion_07_euler_lagrange_residuals():
     worst_region = 0.0
     for lab in np.unique(labels[away]):
         mask = away & (labels == lab)
-        for lo, hi in solver2d._label_groups(int(lab), 2):
+        for lo, hi in pooled_groups([int(lab) >> m & 1 for m in range(SPEC2.n_membranes - 1)]):
             w = SPEC2.w[lo:hi]
             f_i = w @ SPEC2.f[lo:hi] / w.sum()
             worst_region = max(worst_region, float(np.abs(lap[mask][:, lo:hi] @ w / w.sum() - f_i).max()))

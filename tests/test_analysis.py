@@ -249,6 +249,13 @@ class TestBlowupRescale:
         with pytest.raises(OutOfDomain):
             analysis.blowup_rescale(sol, 1.5)
 
+    @pytest.mark.parametrize("r", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_radius(self, spec2, r):
+        g = Grid.rectangle(-1, 1, -1, 1, 1 / 16)
+        sol = field_solution(spec2, g, Cone1D(spec2, "L").eval_2d)
+        with pytest.raises(InvalidInput):
+            analysis.blowup_rescale(sol, r)
+
 
 def dense_lsq_branch(cone, theta, rel, uvals, resid=None):
     """Reference for analysis._lsq_branch: the (M N) x k design matrix built
@@ -571,6 +578,15 @@ class TestRateFit:
         series = [[r, r**0.5] for r in np.geomspace(1e-4, 0.5, 9)]
         series[3][column] = value
         with pytest.raises(NonFiniteData):
+            analysis.rate_fit(series)
+
+    @pytest.mark.parametrize(
+        "entry", [(0.1, 0.2, 0.3), (0.1,), 0.1, ("r", 0.2)],
+        ids=["triple", "single", "number", "text"],
+    )
+    def test_entry_not_a_pair(self, entry):
+        series = [(r, r**0.5) for r in np.geomspace(1e-4, 0.5, 8)] + [entry]
+        with pytest.raises(InvalidInput):
             analysis.rate_fit(series)
 
     def test_extreme_radii_do_not_overflow(self):

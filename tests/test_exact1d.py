@@ -112,6 +112,38 @@ class TestGammaToSolution:
         assert sol.validate() == []
 
 
+def loop_interval_curvatures(cone, xs, gamma):
+    """Reference for exact1d._interval_curvatures: each interval's groups
+    rebuilt pair by pair, as the module did before the pooling rule."""
+    n = cone.n
+    w, f = cone.spec.w, cone.spec.f
+    pos = np.searchsorted(xs, gamma)
+    g = np.empty((n, len(xs) + 1))
+    for j in range(len(xs) + 1):
+        lo = 0
+        for m in range(n - 1):
+            active = pos[m] < j if cone.pattern[m] == "R" else pos[m] >= j
+            if not active:
+                g[lo : m + 1, j] = w[lo : m + 1] @ f[lo : m + 1] / w[lo : m + 1].sum()
+                lo = m + 1
+        g[lo:n, j] = w[lo:n] @ f[lo:n] / w[lo:n].sum()
+    return g
+
+
+class TestIntervalCurvatures:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_per_interval_loop(self, n, rng):
+        # Breakpoints on a 0.1 lattice, so that ties merge intervals.
+        w, f = rng.uniform(0.3, 3.0, n), np.sort(rng.normal(size=n))[::-1]
+        spec = normalize(ProblemSpec(n, tuple(w), tuple(f)))
+        for cone in connected_cones(spec):
+            for _ in range(25):
+                gamma = np.round(rng.uniform(-0.5, 0.5, n - 1), 1)
+                xs = np.unique(gamma)
+                got = exact1d._interval_curvatures(cone, xs, gamma)
+                assert got.tobytes() == loop_interval_curvatures(cone, xs, gamma).tobytes()
+
+
 class TestSolutionToB:
     def test_zero(self, spec3):
         cone = Cone1D(spec3, "LR")

@@ -218,6 +218,14 @@ class TestBellman:
         with pytest.raises(InvalidInput):
             gamesim.bellman_solve(game, max_iters=max_iters)
 
+    def test_meta_records_the_tol(self, spec2):
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        game = gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2))
+        default = gamesim.bellman_solve(game)
+        assert default.meta["tol"] == 1e-13
+        assert default.meta["error_bound"] <= 1e-13
+        assert gamesim.bellman_solve(game, tol=1e-9).meta["tol"] == 1e-9
+
     def test_nan_tol_rejected(self, spec2):
         grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
         game = gamesim.membrane_game(spec2, grid, tilted_cone_data(spec2))

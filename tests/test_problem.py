@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membranes.errors import InvalidWeight, NonFiniteData, NondegeneracyViolation
+from membranes.cones1d import LEFT, POINT, RIGHT, _side_groups
 from membranes.problem import (
     GroupIndex,
     ProblemSpec,
     group_force,
     normalize,
+    pooled_forces,
+    pooled_groups,
     subtract_average,
 )
 
@@ -122,6 +126,34 @@ class TestGroupForce:
             group_force(s, GroupIndex(1, 3))
         with pytest.raises(ValueError):
             GroupIndex(2, 1)
+
+
+class TestPooling:
+    @pytest.mark.parametrize(
+        "joined, groups",
+        [
+            ([], [(0, 1)]),
+            ([True, True, True], [(0, 4)]),
+            ([False, False, False], [(0, 1), (1, 2), (2, 3), (3, 4)]),
+            ([False, True, True, False, True], [(0, 1), (1, 4), (4, 6)]),
+        ],
+        ids=["one-membrane", "all-tied", "all-split", "mixed"],
+    )
+    def test_groups(self, joined, groups):
+        assert list(pooled_groups(joined)) == groups
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_forces_match_group_force_on_every_pattern(self, n):
+        rng = np.random.default_rng(n)
+        w, f = rng.uniform(0.3, 3.0, n), np.sort(rng.normal(size=n))[::-1]
+        spec = normalize(ProblemSpec(n, tuple(w), tuple(f)))
+        for pattern in itertools.product((LEFT, POINT, RIGHT), repeat=n - 1):
+            for side in (LEFT, RIGHT):
+                expected = np.empty(n)
+                for grp in _side_groups(pattern, side):
+                    expected[grp.indices()] = group_force(spec, grp)
+                got = pooled_forces(spec, [c == side for c in pattern])
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestSubtractAverage:

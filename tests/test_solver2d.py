@@ -14,6 +14,7 @@ from membranes.errors import (
     IncompatibleGrids,
     InvalidInput,
     NonFiniteData,
+    OutOfDomain,
     UnorderedBoundary,
 )
 from membranes.exact1d import gamma_to_solution
@@ -112,6 +113,21 @@ class TestGrid:
         hi = lo + g.h * (np.asarray(g.shape) - 1)
         pts = lo + (hi - lo) * rng.uniform(0.0, 1.0, (200, g.dimension))
         assert np.abs(sol.interp(pts) - both(pts)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "point, error",
+        [((np.nan, 0.5), NonFiniteData), ((0.5, np.inf), NonFiniteData),
+         ((1.0 + 1e-9, 0.5), OutOfDomain), ((0.5, -1e-9), OutOfDomain)],
+        ids=["nan", "inf", "past-the-right-edge", "below-the-bottom-edge"],
+    )
+    def test_interp_rejects_points_off_the_box(self, spec2, point, error):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        vals = np.zeros((g.n_nodes, 2))
+        sol = GridSolution2D(g, spec2, vals, vals[g.indexing()[1]])
+        with pytest.raises(error):
+            sol.interp(point)
+        # The box's own corners, up to rounding, stay valid.
+        assert sol.interp([(1.0 + 1e-13, -1e-13), (0.0, 1.0)]).shape == (2, 2)
 
 
 class TestSolve:
@@ -275,6 +291,13 @@ class TestBadInput:
         g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
         with pytest.raises(NonFiniteData):
             solver2d.solve(spec2, g, lambda p: np.full((len(p), 2), value))
+
+    @pytest.mark.parametrize("top", [1e308, 1.7e308])
+    def test_boundary_spread_overflows(self, spec2, top):
+        # Finite rows whose differences overflow: rejected before any subtraction warns.
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        with pytest.raises(NonFiniteData):
+            solver2d.solve(spec2, g, lambda p: np.tile([top, -top], (len(p), 1)))
 
     def test_one_non_finite_value(self, spec2, rng):
         g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
