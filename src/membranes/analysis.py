@@ -1,6 +1,6 @@
 """Blow-up analysis of solved fields: free boundary extraction, the Weiss
-energy and its monotonicity, quadratic rescalings, cone fitting, and
-convergence-rate model fitting.
+energy and its monotonicity, cone fitting on balls about a point, the
+regular-point probe, and convergence-rate model fitting.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import (
     InvalidInput,
     NonFiniteData,
     NotRegular,
-    OutOfDomain,
 )
 from .exact1d import (
     ApproximateProfile2D,
@@ -234,18 +233,23 @@ def _cell_distances(grid, center):
     return centres, dist, h / np.sqrt(4.0 / d)
 
 
+def _ball_in_box(grid, center, r):
+    """``center`` as an array; raises NonFiniteData unless the ball is finite
+    and BallOutsideDomain unless it lies in the stored box."""
+    center = np.asarray(center, dtype=float)
+    if not (np.isfinite(center).all() and np.isfinite(r)):
+        raise NonFiniteData(f"ball center {center} and radius {r} must be finite")
+    if not grid.contains([center - r, center + r]):
+        raise BallOutsideDomain(f"ball of radius {r} leaves the stored domain")
+    return center
+
+
 def check_ball_inside(grid: Grid, center, r):
     """Raise BallOutsideDomain unless the ball of radius r about ``center``
     lies in the stored domain and every cell it touches (cells whose center
     is within r plus half a cell diagonal) has only active corners.
     Returns the cell centres, their distances to ``center`` and h sqrt(d) / 2."""
-    center = np.asarray(center, dtype=float)
-    if not (np.isfinite(center).all() and np.isfinite(r)):
-        raise NonFiniteData(f"ball center {center} and radius {r} must be finite")
-    lo = np.asarray(grid.origin)
-    hi = lo + grid.h * (np.asarray(grid.shape) - 1)
-    if np.any(center - r < lo - 1e-12) or np.any(center + r > hi + 1e-12):
-        raise BallOutsideDomain(f"ball of radius {r} leaves the stored domain")
+    center = _ball_in_box(grid, center, r)
     ok = np.logical_and.reduce(_cell_corners(grid.role != INACTIVE, grid.dimension))
     centres, dist, half_diag = _cell_distances(grid, center)
     if np.any((dist <= r + half_diag) & ~ok):
@@ -305,25 +309,6 @@ def monotonicity_check(profile: WeissProfile, c_q) -> MonotonicityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Blow-up rescaling
-
-
-def blowup_rescale(sol: GridSolution2D, r) -> GridSolution2D:
-    """Resample r^{-2} u(r x) onto the box [-1, 1]^d at the solution's grid
-    step, for a finite r > 0 whose box lies in the stored one (else
-    OutOfDomain)."""
-    if not 0.0 < r < np.inf:
-        raise InvalidInput(f"the rescaling radius must be finite and > 0, got {r}")
-    g = sol.grid
-    target_grid = Grid.box((-1,) * g.dimension, (1,) * g.dimension, g.h)
-    vals = sol.interp(target_grid.coords() * r) / r**2
-    if not np.all(np.isfinite(vals)):
-        raise OutOfDomain(f"rescaling by {r} touches inactive nodes")
-    _, boundary, _, _ = target_grid.indexing()
-    return GridSolution2D(target_grid, sol.spec, vals, vals[boundary].copy(), meta={"rescale": r})
-
-
-# ---------------------------------------------------------------------------
 # Cone fitting
 
 
@@ -354,11 +339,11 @@ _MIRROR = str.maketrans("LR", "RL")
 
 def ball_nodes(grid: Grid, center, radius):
     """Offsets of the grid's nodes from ``center`` and the mask of the active
-    ones within ``radius``; raises BallOutsideDomain if the mask is empty."""
+    ones within ``radius``; raises BallOutsideDomain if the ball leaves the
+    stored box or the mask is empty."""
     active = grid.role.ravel() != INACTIVE
-    rel = grid.coords() - np.asarray(center)
-    with np.errstate(over="ignore"):  # a distance that overflows is outside the ball
-        sel = active & (np.linalg.norm(rel, axis=1) <= radius)
+    rel = grid.coords() - _ball_in_box(grid, center, radius)
+    sel = active & (np.linalg.norm(rel, axis=1) <= radius)
     if not sel.any():
         raise BallOutsideDomain("no active nodes in the fit ball")
     return rel, sel

@@ -16,16 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .problem import GroupIndex, ProblemSpec, group_force, normalize, pooled_forces, pooled_groups
+from .problem import ProblemSpec, normalize, pooled_forces, pooled_groups
 
 LEFT = "L"
 POINT = "."
 RIGHT = "R"
-
-
-def _side_groups(pattern, side):
-    """Maximal contiguous 1-based groups coinciding on the given side."""
-    return tuple(GroupIndex(lo + 1, hi) for lo, hi in pooled_groups([c == side for c in pattern]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,12 +61,6 @@ class Cone1D:
     def a_plus(self):
         return self._a[1]
 
-    def left_groups(self):
-        return _side_groups(self.pattern, LEFT)
-
-    def right_groups(self):
-        return _side_groups(self.pattern, RIGHT)
-
     def eval(self, x):
         """Membrane values p_i(x) = a_i^- (x^-)^2 + a_i^+ (x^+)^2.
 
@@ -110,26 +99,28 @@ def enumerate_cones(spec: ProblemSpec):
 class DegenerateDecomposition:
     """Split of a cone at its point-only entries into connected groups.
 
-    Each group carries its index range, the second derivative of the group
-    average quadratic (equal to the group force), and the connected sub-cone
-    of the re-centered sub-problem.
+    Each group carries its 0-based half-open index range (lo, hi) from
+    ``pooled_groups``, the second derivative of the group average quadratic
+    (equal to the group force), and the connected sub-cone of the
+    re-centered sub-problem.
     """
 
     cone: Cone1D
     cut_indices: tuple  # 1-based pair indices k with pattern[k-1] == '.'
-    groups: tuple  # of (GroupIndex, qpp, Cone1D)
+    groups: tuple  # of ((lo, hi), qpp, Cone1D)
 
 
 def decompose_degenerate(cone: Cone1D) -> DegenerateDecomposition:
     """Group decomposition of any cone; connected cones give one group."""
     spec = cone.spec
     cuts = tuple(k + 1 for k, c in enumerate(cone.pattern) if c == POINT)
+    joined = [c != POINT for c in cone.pattern]
+    forces = pooled_forces(spec, joined)
     groups = []
-    for lo, hi in pooled_groups([c != POINT for c in cone.pattern]):
-        grp = GroupIndex(lo + 1, hi)
-        qpp = group_force(spec, grp)
+    for lo, hi in pooled_groups(joined):
+        qpp = float(forces[lo])
         sub_spec = ProblemSpec(hi - lo, tuple(spec.w[lo:hi]), tuple(spec.f[lo:hi] - qpp))
-        groups.append((grp, qpp, Cone1D(sub_spec, cone.pattern[lo : hi - 1])))
+        groups.append(((lo, hi), qpp, Cone1D(sub_spec, cone.pattern[lo : hi - 1])))
     return DegenerateDecomposition(cone, cuts, tuple(groups))
 
 

@@ -78,7 +78,7 @@ class BallOutsideDomain(InvalidInput):
 
 
 class OutOfDomain(InvalidInput):
-    """Rescaling target exceeds the available domain."""
+    """An interpolation point lies outside the stored box."""
 
 
 class InsufficientData(InvalidInput):
@@ -87,10 +87,6 @@ class InsufficientData(InvalidInput):
 
 class NotRegular(MembraneError):
     """Field is not approximated by the half-plane cone at the probe ball."""
-
-
-class TooLarge(InvalidInput):
-    """Problem size exceeds the limit of an exhaustive oracle."""
 
 
 class ScenarioError(MembraneError):

@@ -514,13 +514,13 @@ class DegenerateProfile2D:
         dec = self.decomposition
         n = dec.cone.n
         out = np.empty((pts.shape[0], n))
-        for (grp, qpp, sub), ang, (alpha, beta) in zip(
+        for ((lo, hi), qpp, sub), ang, (alpha, beta) in zip(
             dec.groups, self.angles, self.harmonics
         ):
             nu = np.array([-np.sin(ang), np.cos(ang)])
             vals = sub.eval(pts @ nu)
             q = _harmonic_quadratic(pts, qpp, alpha, beta)
-            out[:, grp.lo - 1 : grp.hi] = vals + q[:, None]
+            out[:, lo:hi] = vals + q[:, None]
         out = subtract_average(out, dec.cone.spec.w)
         return out[0] if single else out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidWeight, NonFiniteData, NondegeneracyViolation
+from .errors import InvalidWeight, NonFiniteData, NondegeneracyViolation
 
 EQ_TOL = 1e-12
 
@@ -76,25 +76,6 @@ class ProblemSpec:
         return cls(int(obj["n"]), tuple(obj["weights"]), tuple(obj["forces"]))
 
 
-@dataclass(frozen=True)
-class GroupIndex:
-    """Inclusive 1-based membrane index range I = {lo, ..., hi}."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not 1 <= self.lo <= self.hi:
-            raise InvalidInput(f"invalid group range [{self.lo}, {self.hi}]")
-
-    def indices(self):
-        """0-based numpy index array."""
-        return np.arange(self.lo - 1, self.hi)
-
-    def __len__(self):
-        return self.hi - self.lo + 1
-
-
 def normalize(spec: ProblemSpec) -> ProblemSpec:
     """Subtract the weighted force mean so that sum(w_k f_k) = 0.
 
@@ -110,17 +91,6 @@ def normalize(spec: ProblemSpec) -> ProblemSpec:
             f"normalizing forces {spec.forces} with weights {spec.weights} overflows"
         )
     return ProblemSpec(spec.n_membranes, spec.weights, tuple(f))
-
-
-def group_force(spec: ProblemSpec, group: GroupIndex) -> float:
-    """Weighted average force over the group, f_I = sum_I w f / sum_I w."""
-    if group.hi > spec.n_membranes:
-        raise InvalidInput(
-            f"group [{group.lo}, {group.hi}] exceeds N={spec.n_membranes}"
-        )
-    idx = group.indices()
-    w = spec.w[idx]
-    return float(w @ spec.f[idx] / w.sum())
 
 
 def pooled_groups(joined):

@@ -111,6 +111,13 @@ class Grid:
         axes = [self.origin[a] + self.h * np.arange(self.shape[a]) for a in range(self.dimension)]
         return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
+    def contains(self, points):
+        """Whether every point lies in the stored box, with 1e-12 slack."""
+        pts = np.asarray(points)
+        lo = np.asarray(self.origin)
+        hi = lo + self.h * (np.asarray(self.shape) - 1)
+        return bool(np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12))
+
     def diameter(self):
         pts = self.coords()[self.role.ravel() != INACTIVE]
         return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
@@ -185,12 +192,11 @@ class GridSolution2D:
         OutOfDomain."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         g = self.grid
-        lo = np.asarray(g.origin)
         if not np.isfinite(pts).all():
             raise NonFiniteData("interpolation points must be finite")
-        if np.any(pts < lo - 1e-12) or np.any(pts > lo + g.h * (np.asarray(g.shape) - 1) + 1e-12):
+        if not g.contains(pts):
             raise OutOfDomain("an interpolation point lies outside the stored box")
-        t = (pts - lo) / g.h
+        t = (pts - np.asarray(g.origin)) / g.h
         i0 = np.clip(np.floor(t).astype(int), 0, np.asarray(g.shape) - 2)
         frac = t - i0
         vals = self.fields()
@@ -205,7 +211,7 @@ class GridSolution2D:
 
 def dirichlet_values(grid, boundary_data, n):
     """(n_boundary, N) Dirichlet values from an array or a callable of the
-    boundary node coordinates; must be finite, with a finite spread, and
+    boundary node coordinates; must be finite, with 2d max|g| finite, and
     ordered."""
     _, boundary, _, _ = grid.indexing()
     pts = grid.coords()[boundary]
@@ -217,10 +223,11 @@ def dirichlet_values(grid, boundary_data, n):
         raise InvalidInput(f"boundary data shape {g.shape} != {(len(boundary), n)}")
     if not np.isfinite(g).all():
         raise NonFiniteData("boundary data contains NaN or infinite values")
-    # Python floats overflow to inf without the warning a numpy subtraction emits.
-    if not np.isfinite(float(g.max()) - float(g.min())):
-        raise NonFiniteData("the spread of the boundary data is not a finite number")
     scale = max(1.0, float(np.abs(g).max()))
+    # 2d max|g| bounds the spread and every neighbour sum; taken in Python
+    # floats, it overflows to inf without the warning numpy emits.
+    if not np.isfinite(2 * grid.dimension * scale):
+        raise NonFiniteData("2d times the largest boundary value is not a finite number")
     if n > 1 and (g[:, :-1] - g[:, 1:]).min() < -1e-10 * scale:
         raise UnorderedBoundary("boundary data violates the ordering constraint")
     return g

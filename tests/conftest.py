@@ -1,7 +1,14 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from membranes.problem import ProblemSpec, normalize
+
+# The benchmark's exact discrete solver (perfbench/reference.py) shares no
+# code with the package, so tests compare against it; they only import it.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,11 @@ from membranes import analysis, exact1d, gamesim, solver2d
 from membranes.cones1d import Cone1D, decompose_degenerate, enumerate_cones
 from membranes.errors import NotRegular
 from membranes.problem import ProblemSpec, normalize, pooled_groups
-from membranes.projection import isotonic_project_batch, qp_oracle_project
+from membranes.projection import isotonic_project_batch
 from membranes.solver2d import Grid, GridSolution2D
 
+import reference
+from oracle import qp_oracle_project
 from test_solver2d import ordered_random_boundary
 
 SPEC2 = normalize(ProblemSpec(2, (1.0, 1.0), (1.0, -1.0)))
@@ -376,6 +378,8 @@ def test_criterion_13_game_pde_equivalence(game_setup):
     ref = solver2d.solve(SPEC3U, grid, game_setup["data"], tol=0.0, max_sweeps=100000)
     itr = grid.indexing()[0]
     match = float(np.abs(table.v[itr] - ref.u[itr]).max())
+    exact = reference.exact_solution(grid.role, grid.h, SPEC3U.w, SPEC3U.f, table.v)
+    exact_gap = float(np.abs(table.v[itr] - exact[itr]).max())
 
     rng = np.random.default_rng(13)
     probes = rng.choice(itr, 5, replace=False)
@@ -393,13 +397,14 @@ def test_criterion_13_game_pde_equivalence(game_setup):
     first = gamesim.monte_carlo_eval(game, table, int(probes[0]), [1], 100000, seed=77)
     bit_identical = rerun == first
 
-    ok = rep.kkt_residual < 1e-8 and match < 1e-8 and mc_ok and bit_identical
+    ok = (rep.kkt_residual < 1e-8 and match < 1e-8 and exact_gap < 1e-8 and mc_ok
+          and bit_identical)
     report(
         13,
         "game-PDE equivalence",
         ok,
-        f"kkt {rep.kkt_residual:.1e}, match {match:.1e}, MC gaps/se {max(gaps):.2f}, "
-        f"bit-identical {bit_identical}",
+        f"kkt {rep.kkt_residual:.1e}, match {match:.1e}, reference {exact_gap:.1e}, "
+        f"MC gaps/se {max(gaps):.2f}, bit-identical {bit_identical}",
     )
 
 

@@ -10,7 +10,6 @@ from membranes.errors import (
     InvalidInput,
     NonFiniteData,
     NotRegular,
-    OutOfDomain,
 )
 from membranes.exact1d import (
     ApproximateProfile2D,
@@ -131,7 +130,7 @@ class TestWeiss:
         total = analysis.weiss_of_cone(cone)
         per_group = sum(analysis.weiss_of_cone(sub) for _, _, sub in dec.groups)
         cross = np.pi / 16 * sum(
-            qpp**2 * spec2.w[grp.indices()].sum() for grp, qpp, _ in dec.groups
+            qpp**2 * spec2.w[lo:hi].sum() for (lo, hi), qpp, _ in dec.groups
         )
         assert total == pytest.approx(per_group + cross, abs=1e-12)
 
@@ -218,43 +217,24 @@ class TestMonotonicity:
 
 
 class TestBlowupRescale:
+    """The blow-up rescaling r^{-2} u(r x) of exact profiles, evaluated directly."""
+
     def test_cone_invariant(self, spec2):
+        # A cone is its own blow-up.
         p0 = Cone1D(spec2, "L")
-        g = Grid.rectangle(-2, 2, -2, 2, 1 / 32)
-        sol = field_solution(spec2, g, p0.eval_2d)
+        pts = Grid.rectangle(-1, 1, -1, 1, 1 / 32).coords()
         for r in (1.0, 0.5):
-            res = analysis.blowup_rescale(sol, r)
-            itr = res.grid.indexing()[0]
-            exact = p0.eval_2d(res.grid.coords()[itr])
-            assert np.abs(res.u[itr] - exact).max() <= 4 * g.h**2
+            assert np.abs(p0.eval_2d(r * pts) / r**2 - p0.eval_2d(pts)).max() <= 1e-14
 
     def test_1d_profile_homogeneity(self, spec3, rng):
         cone = Cone1D(spec3, "RL")
         b = random_branch_vector(cone, rng, 0.5)
-        sol1d = solution_for(cone, b)
-        g = Grid.interval(-2, 2, 1 / 64)
-        vals = sol1d.eval(g.coords()[:, 0])
-        sol = GridSolution2D(g, spec3, vals, vals[g.indexing()[1]])
-        r = 0.5
-        res = analysis.blowup_rescale(sol, r)
+        h, r = 1 / 64, 0.5
+        xs = Grid.interval(-1, 1, h).coords()[:, 0]
         # r^{-2} h(r x, b) = h(x, b / r) by degree-2 homogeneity.
-        ref = solution_for(cone, (1.0 / r) * b)
-        itr = res.grid.indexing()[0]
-        assert np.abs(res.u[itr] - ref.eval(res.grid.coords()[itr, 0])).max() <= 5 * g.h**2
-
-    def test_out_of_domain(self, spec2):
-        p0 = Cone1D(spec2, "L")
-        g = Grid.rectangle(-1, 1, -1, 1, 1 / 16)
-        sol = field_solution(spec2, g, p0.eval_2d)
-        with pytest.raises(OutOfDomain):
-            analysis.blowup_rescale(sol, 1.5)
-
-    @pytest.mark.parametrize("r", [0.0, -0.5, np.nan, np.inf])
-    def test_bad_radius(self, spec2, r):
-        g = Grid.rectangle(-1, 1, -1, 1, 1 / 16)
-        sol = field_solution(spec2, g, Cone1D(spec2, "L").eval_2d)
-        with pytest.raises(InvalidInput):
-            analysis.blowup_rescale(sol, r)
+        lhs = solution_for(cone, b).eval(r * xs) / r**2
+        rhs = solution_for(cone, (1.0 / r) * b).eval(xs)
+        assert np.abs(lhs - rhs).max() <= 5 * h**2
 
 
 def dense_lsq_branch(cone, theta, rel, uvals, resid=None):
@@ -485,6 +465,12 @@ class TestFitCone:
         sol = self.profile_n3(spec3_unit)
         with pytest.raises(InvalidInput, match="radius"):
             analysis.fit_cone(sol, (0, 0), radius)
+
+    def test_ball_past_the_grid(self, spec3_unit):
+        # Not fitted on the part of the ball that lies inside the grid.
+        sol = self.profile_n3(spec3_unit)
+        with pytest.raises(BallOutsideDomain, match="stored domain"):
+            analysis.fit_cone(sol, (0, 0), 50.0)
 
     def test_catalogue_of_another_n(self, spec2, spec3_unit):
         sol = self.profile_n3(spec3_unit)

@@ -332,6 +332,7 @@ class TestMain:
             (BLOWUP, ("center",), [5, 5], "/radii/0"),
             (BLOWUP, ("center",), [1e308, 0], "/radii/0"),
             (dict(BLOWUP, center=[0.05, 0.05]), ("radii",), [0.3, 0.01], "/radii/1"),
+            (BLOWUP, ("radii",), [0.3, 50.0], "/radii/1"),
         ],
         ids=["ticket-above-n", "probe-off-lattice", "probe-on-boundary", "probe-short",
              "game-weights", "pattern-length", "pattern-character", "h-not-dividing",
@@ -339,7 +340,7 @@ class TestMain:
              "profile-without-b", "weiss-ball-off-rectangle", "weiss-ball-off-disk",
              "weiss-two-radii", "profile-b-off-branch-space", "profile-b0-off-branch-space",
              "rate-four-radii", "rate-zero-epsilon", "rate-short-span", "blowup-ball-off-grid",
-             "blowup-center-overflows", "blowup-ball-between-nodes"],
+             "blowup-center-overflows", "blowup-ball-between-nodes", "blowup-radius-past-box"],
     )
     def test_main_preflight_exit_2_without_outputs(self, tmp_path, capsys, base, path, value, pointer):
         scenario = copy.deepcopy(base)

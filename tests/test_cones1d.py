@@ -5,7 +5,12 @@ from membranes import analysis
 from membranes.cones1d import Cone1D, decompose_degenerate, enumerate_cones
 from membranes.errors import NotConnected
 from membranes.exact1d import branch_space_basis
-from membranes.problem import ProblemSpec, normalize
+from membranes.problem import ProblemSpec, normalize, pooled_groups
+
+
+def side_groups(cone, side):
+    """0-based half-open ranges of the groups coinciding on one side."""
+    return list(pooled_groups([c == side for c in cone.pattern]))
 
 
 class TestEnumeration:
@@ -66,32 +71,30 @@ class TestCoefficients:
             assert np.abs(vals @ spec4.w).max() <= 1e-12
             # Piecewise Laplacian equals the group force of the active side.
             for side, a in (("L", cone.a_minus), ("R", cone.a_plus)):
-                groups = cone.left_groups() if side == "L" else cone.right_groups()
-                for grp in groups:
-                    idx = grp.indices()
-                    f_i = spec4.w[idx] @ spec4.f[idx] / spec4.w[idx].sum()
-                    assert np.abs(2.0 * a[idx] - f_i).max() <= 1e-12
+                for lo, hi in side_groups(cone, side):
+                    w, f = spec4.w[lo:hi], spec4.f[lo:hi]
+                    assert np.abs(2.0 * a[lo:hi] - w @ f / w.sum()).max() <= 1e-12
 
 
 class TestBranchLayout:
     def test_p0_n2(self, spec2):
         cone = Cone1D(spec2, "L")
-        assert [(g.lo, g.hi) for g in cone.left_groups()] == [(1, 2)]
-        assert [(g.lo, g.hi) for g in cone.right_groups()] == [(1, 1), (2, 2)]
+        assert side_groups(cone, "L") == [(0, 2)]
+        assert side_groups(cone, "R") == [(0, 1), (1, 2)]
 
     def test_n3_rl(self, spec3):
         cone = Cone1D(spec3, "RL")
-        assert [(g.lo, g.hi) for g in cone.left_groups()] == [(1, 1), (2, 3)]
-        assert [(g.lo, g.hi) for g in cone.right_groups()] == [(1, 2), (3, 3)]
+        assert side_groups(cone, "L") == [(0, 1), (1, 3)]
+        assert side_groups(cone, "R") == [(0, 2), (2, 3)]
 
     def test_n1(self):
         cone = Cone1D(ProblemSpec(1, (1.0,), (0.0,)), "")
-        assert len(cone.left_groups()) + len(cone.right_groups()) == 2
+        assert len(side_groups(cone, "L")) + len(side_groups(cone, "R")) == 2
 
     def test_connected_count_is_n_plus_1(self, spec4):
         for cone in enumerate_cones(spec4):
             if cone.connected:
-                branches = len(cone.left_groups()) + len(cone.right_groups())
+                branches = len(side_groups(cone, "L")) + len(side_groups(cone, "R"))
                 assert branches == spec4.n_membranes + 1
 
     def test_not_connected(self, spec2):
@@ -103,7 +106,7 @@ class TestDecomposition:
     def test_n2_point_only(self, spec2):
         dec = decompose_degenerate(Cone1D(spec2, "."))
         assert dec.cut_indices == (1,)
-        assert [(g.lo, g.hi) for g, _, _ in dec.groups] == [(1, 1), (2, 2)]
+        assert [g for g, _, _ in dec.groups] == [(0, 1), (1, 2)]
         assert [qpp for _, qpp, _ in dec.groups] == [1.0, -1.0]
 
     def test_n3_cut_at_two(self):
@@ -111,8 +114,8 @@ class TestDecomposition:
         dec = decompose_degenerate(Cone1D(spec, "R."))
         assert dec.cut_indices == (2,)
         (g1, q1, sub1), (g2, q2, sub2) = dec.groups
-        assert (g1.lo, g1.hi) == (1, 2) and sub1.pattern == "R"
-        assert (g2.lo, g2.hi) == (3, 3) and sub2.pattern == ""
+        assert g1 == (0, 2) and sub1.pattern == "R"
+        assert g2 == (2, 3) and sub2.pattern == ""
         assert q1 == pytest.approx(0.5)
         assert q2 == pytest.approx(-1.0)
         # Sub-problems are re-centered.

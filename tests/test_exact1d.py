@@ -28,7 +28,7 @@ from membranes.exact1d import (
     tau,
     zero_branch_vector,
 )
-from membranes.problem import ProblemSpec, normalize
+from membranes.problem import ProblemSpec, normalize, pooled_groups
 
 XS = np.linspace(-5.0, 5.0, 401)
 SPEC5 = normalize(ProblemSpec(5, (1.0, 0.6, 1.4, 0.9, 1.2), (2.5, 1.0, 0.2, -0.7, -3.0)))
@@ -437,10 +437,10 @@ class TestProfile2D:
             vals = prof.eval(x0 + offsets)
             lap = (vals[1:].sum(axis=0) - 4 * vals[0]) / delta**2
             side = slice(3, None) if x0[1] > 0 else slice(0, 3)
-            groups = cone.right_groups() if x0[1] > 0 else cone.left_groups()
+            coincide = "R" if x0[1] > 0 else "L"
             e_side = e_plus[side.start or 0 :] if x0[1] > 0 else error_function(cone, b).minus
-            for grp in groups:
-                idx = grp.indices()
+            for lo, hi in pooled_groups([c == coincide for c in cone.pattern]):
+                idx = slice(lo, hi)
                 w = spec3.w[idx]
                 f_i = w @ spec3.f[idx] / w.sum()
                 lap_i = w @ lap[idx] / w.sum()

@@ -248,6 +248,13 @@ class TestBellman:
         with pytest.raises(NonFiniteData):
             gamesim.GameSpec(grid, (0.1, -0.1), phi)
 
+    def test_payoffs_near_the_float_limit_rejected(self):
+        # Ordered and finite, but a 2d-neighbour sum of them overflows.
+        grid = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        phi = np.full((len(grid.indexing()[1]), 2), 1e308)
+        with pytest.raises(NonFiniteData):
+            gamesim.GameSpec(grid, (0.1, -0.1), phi)
+
     def test_lattice_without_interior_rejected(self):
         grid = Grid.rectangle(0, 1, 0, 1, 1.0)
         with pytest.raises(EmptyGrid):

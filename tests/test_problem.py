@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membranes.errors import InvalidWeight, NonFiniteData, NondegeneracyViolation
-from membranes.cones1d import LEFT, POINT, RIGHT, _side_groups
+from membranes.cones1d import LEFT, POINT, RIGHT
 from membranes.problem import (
-    GroupIndex,
     ProblemSpec,
-    group_force,
     normalize,
     pooled_forces,
     pooled_groups,
@@ -104,28 +102,21 @@ class TestNormalize:
 class TestGroupForce:
     def test_zero_mean_pair(self):
         s = normalize(ProblemSpec(2, (1, 1), (1, -1)))
-        assert group_force(s, GroupIndex(1, 2)) == 0.0
+        assert pooled_forces(s, [True]).tolist() == [0.0, 0.0]
 
     def test_arithmetic_mean(self):
         s = ProblemSpec(3, (1, 1, 1), (1, 0, -1))
-        assert group_force(s, GroupIndex(1, 2)) == pytest.approx(0.5)
+        assert pooled_forces(s, [True, False]).tolist() == pytest.approx([0.5, 0.5, -1.0])
 
     def test_weighted_normalized(self):
         s = ProblemSpec(2, (1, 2), (2, -1))
-        assert group_force(s, GroupIndex(1, 2)) == 0.0
+        assert pooled_forces(s, [True]).tolist() == [0.0, 0.0]
 
     @given(specs())
     @settings(max_examples=40, deadline=None)
     def test_full_range_zero_after_normalize(self, spec):
         s = normalize(spec)
-        assert abs(group_force(s, GroupIndex(1, s.n_membranes))) <= 1e-12
-
-    def test_invalid_range(self):
-        s = normalize(ProblemSpec(2, (1, 1), (1, -1)))
-        with pytest.raises(ValueError):
-            group_force(s, GroupIndex(1, 3))
-        with pytest.raises(ValueError):
-            GroupIndex(2, 1)
+        assert np.abs(pooled_forces(s, [True] * (s.n_membranes - 1))).max() <= 1e-12
 
 
 class TestPooling:
@@ -149,9 +140,16 @@ class TestPooling:
         spec = normalize(ProblemSpec(n, tuple(w), tuple(f)))
         for pattern in itertools.product((LEFT, POINT, RIGHT), repeat=n - 1):
             for side in (LEFT, RIGHT):
+                # Each maximal run of `side` entries ties its membranes into
+                # one group, pooled to f_I = sum_I w f / sum_I w.
                 expected = np.empty(n)
-                for grp in _side_groups(pattern, side):
-                    expected[grp.indices()] = group_force(spec, grp)
+                lo = 0
+                for m in range(n):
+                    if m == n - 1 or pattern[m] != side:
+                        idx = np.arange(lo, m + 1)
+                        w_i = spec.w[idx]
+                        expected[idx] = float(w_i @ spec.f[idx] / w_i.sum())
+                        lo = m + 1
                 got = pooled_forces(spec, [c == side for c in pattern])
                 assert got.tobytes() == expected.tobytes()
 

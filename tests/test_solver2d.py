@@ -21,6 +21,8 @@ from membranes.exact1d import gamma_to_solution
 from membranes.problem import ProblemSpec, normalize
 from membranes.solver2d import Grid, GridSolution2D
 
+import reference
+
 
 def ordered_random_boundary(spec, rng, amp=0.3):
     """Smooth random Dirichlet data respecting the ordering constraint."""
@@ -258,6 +260,9 @@ class TestOverRelaxation:
         assert 1.0 < sol.meta["omega"] < 2.0
         assert ref.meta["converged"] and ref.meta["final_change"] == 0.0
         assert np.abs(sol.u[itr] - ref.u[itr]).max() <= tol
+        # The same bound against an exact solver that shares no code with this one.
+        exact = reference.exact_solution(g.role, g.h, spec.w, spec.f, sol.u)
+        assert np.abs(sol.u[itr] - exact[itr]).max() <= tol
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -298,6 +303,18 @@ class TestBadInput:
         g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
         with pytest.raises(NonFiniteData):
             solver2d.solve(spec2, g, lambda p: np.tile([top, -top], (len(p), 1)))
+
+    @pytest.mark.parametrize("row", [(1e308, 1e308), (1.7e308, 0.0)], ids=["1e308-twice", "1.7e308-and-0"])
+    def test_neighbour_sum_overflows(self, spec2, row):
+        # A finite spread, but the harmonic extension's neighbour sums overflow.
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        with pytest.raises(NonFiniteData):
+            solver2d.solve(spec2, g, lambda p: np.tile(row, (len(p), 1)))
+
+    def test_large_finite_data_solves(self, spec2):
+        g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
+        sol = solver2d.solve(spec2, g, lambda p: np.tile([1e300, -1e300], (len(p), 1)))
+        assert sol.meta["converged"] and np.isfinite(sol.u).all()
 
     def test_one_non_finite_value(self, spec2, rng):
         g = Grid.rectangle(0, 1, 0, 1, 1 / 8)
